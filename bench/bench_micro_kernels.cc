@@ -230,11 +230,12 @@ class SimdLevelSweep {
   vec::Level prev_;
 };
 
-#define DDPKIT_SIMD_LEVEL_ARGS(n)                                   \
-  ArgNames({"level", "n"})                                          \
-      ->Args({static_cast<long>(vec::Level::kScalar), (n)})         \
-      ->Args({static_cast<long>(vec::Level::kAvx2), (n)})           \
-      ->Args({static_cast<long>(vec::Level::kAvx512), (n)})
+#define DDPKIT_SIMD_LEVEL_ARGS_NAMED(name, v)                       \
+  ArgNames({"level", name})                                         \
+      ->Args({static_cast<long>(vec::Level::kScalar), (v)})         \
+      ->Args({static_cast<long>(vec::Level::kAvx2), (v)})           \
+      ->Args({static_cast<long>(vec::Level::kAvx512), (v)})
+#define DDPKIT_SIMD_LEVEL_ARGS(n) DDPKIT_SIMD_LEVEL_ARGS_NAMED("n", n)
 
 void BM_VecAccumulateAdd(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
@@ -311,6 +312,84 @@ void BM_VecCopy(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * 4 * 2);
 }
 BENCHMARK(BM_VecCopy)->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+
+// ---------------------------------------------------------------------------
+// The GEMM-backed dense kernels at every dispatch level. Items are
+// multiply-accumulates; the flop/s counter (2 flop per MAC) reads as
+// GFLOP/s directly. Conv shapes are ResNetTiny's at batch 16: the
+// stride-1 8→8 conv and the stride-2 8→16 downsampling conv.
+// ---------------------------------------------------------------------------
+
+struct ConvBenchShape {
+  int64_t n, cin, side, cout, k, stride, pad;
+  int64_t out_side() const { return (side + 2 * pad - k) / stride + 1; }
+  int64_t macs() const {
+    return n * cout * out_side() * out_side() * cin * k * k;
+  }
+};
+
+ConvBenchShape ResNetTinyConv(int64_t stride) {
+  return stride == 1 ? ConvBenchShape{16, 8, 28, 8, 3, 1, 1}
+                     : ConvBenchShape{16, 8, 28, 16, 3, 2, 1};
+}
+
+void ReportMacs(benchmark::State& state, int64_t macs) {
+  state.SetItemsProcessed(state.iterations() * macs);
+  state.counters["flop/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(macs) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+void BM_Conv2dBackwardInput(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const ConvBenchShape s = ResNetTinyConv(state.range(1));
+  Rng rng(12);
+  Tensor weight = Tensor::Randn({s.cout, s.cin, s.k, s.k}, &rng);
+  Tensor grad_out =
+      Tensor::Randn({s.n, s.cout, s.out_side(), s.out_side()}, &rng);
+  const std::vector<int64_t> input_shape = {s.n, s.cin, s.side, s.side};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::Conv2dBackwardInput(
+        grad_out, weight, input_shape, kernels::Conv2dArgs{s.stride, s.pad}));
+  }
+  ReportMacs(state, s.macs());
+}
+BENCHMARK(BM_Conv2dBackwardInput)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("stride", 1);
+BENCHMARK(BM_Conv2dBackwardInput)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("stride", 2);
+
+void BM_Conv2dBackwardWeight(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const ConvBenchShape s = ResNetTinyConv(state.range(1));
+  Rng rng(13);
+  Tensor input = Tensor::Randn({s.n, s.cin, s.side, s.side}, &rng);
+  Tensor grad_out =
+      Tensor::Randn({s.n, s.cout, s.out_side(), s.out_side()}, &rng);
+  const std::vector<int64_t> weight_shape = {s.cout, s.cin, s.k, s.k};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::Conv2dBackwardWeight(
+        grad_out, input, weight_shape, kernels::Conv2dArgs{s.stride, s.pad}));
+  }
+  ReportMacs(state, s.macs());
+}
+BENCHMARK(BM_Conv2dBackwardWeight)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("stride", 1);
+BENCHMARK(BM_Conv2dBackwardWeight)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("stride", 2);
+
+void BM_MatMulTransB(benchmark::State& state) {
+  // m = 8: an MLP Linear forward (8×1024 · (1024×1024)ᵀ); m = 128: a
+  // TransformerTiny projection (128×64 · (64×64)ᵀ).
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t m = state.range(1);
+  const int64_t k = m == 8 ? 1024 : 64, n = k;
+  Rng rng(14);
+  Tensor a = Tensor::Randn({m, k}, &rng);
+  Tensor b = Tensor::Randn({n, k}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::MatMulTransB(a, b));
+  }
+  ReportMacs(state, m * k * n);
+}
+BENCHMARK(BM_MatMulTransB)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("m", 8);
+BENCHMARK(BM_MatMulTransB)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("m", 128);
 
 void BM_Fp16Conversion(benchmark::State& state) {
   const int64_t n = state.range(0);

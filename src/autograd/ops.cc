@@ -9,6 +9,7 @@
 
 #include "autograd/engine.h"
 #include "autograd/node.h"
+#include "common/parallel.h"
 
 namespace ddpkit::ops {
 
@@ -427,14 +428,17 @@ Tensor ChannelBiasGrad(const Tensor& grad_out) {
   Tensor grad_bias = Tensor::Zeros({c}, DType::kFloat32, grad_out.device_id());
   const float* pg = grad_out.data<float>();
   float* pb = grad_bias.data<float>();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* base = pg + (i * c + ch) * hw;
-      float acc = 0.0f;
-      for (int64_t j = 0; j < hw; ++j) acc += base[j];
-      pb[ch] += acc;
+  // One writer per channel; each still sums its images in ascending order.
+  ParallelFor(0, c, GrainFromCost(n * hw), [&](int64_t cb, int64_t ce) {
+    for (int64_t ch = cb; ch < ce; ++ch) {
+      for (int64_t i = 0; i < n; ++i) {
+        const float* base = pg + (i * c + ch) * hw;
+        float acc = 0.0f;
+        for (int64_t j = 0; j < hw; ++j) acc += base[j];
+        pb[ch] += acc;
+      }
     }
-  }
+  });
   return grad_bias;
 }
 
@@ -529,37 +533,41 @@ BatchNormResult BatchNorm2d(const Tensor& input, const Tensor& gamma,
   const float* pg = gamma.data<float>();
   const float* pb = beta.data<float>();
 
-  for (int64_t ch = 0; ch < c; ++ch) {
-    double acc = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* base = pi + (i * c + ch) * hw;
-      for (int64_t j = 0; j < hw; ++j) acc += base[j];
-    }
-    const double mu = acc / static_cast<double>(m);
-    double sq = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* base = pi + (i * c + ch) * hw;
-      for (int64_t j = 0; j < hw; ++j) {
-        const double d = base[j] - mu;
-        sq += d * d;
+  // Channels are independent and each keeps its serial double sums, so
+  // splitting them across threads cannot change a bit.
+  ParallelFor(0, c, GrainFromCost(4 * m), [&](int64_t cb, int64_t ce) {
+    for (int64_t ch = cb; ch < ce; ++ch) {
+      double acc = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* base = pi + (i * c + ch) * hw;
+        for (int64_t j = 0; j < hw; ++j) acc += base[j];
+      }
+      const double mu = acc / static_cast<double>(m);
+      double sq = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* base = pi + (i * c + ch) * hw;
+        for (int64_t j = 0; j < hw; ++j) {
+          const double d = base[j] - mu;
+          sq += d * d;
+        }
+      }
+      const double v = sq / static_cast<double>(m);
+      const double is = 1.0 / std::sqrt(v + eps);
+      pmean[ch] = static_cast<float>(mu);
+      pvar[ch] = static_cast<float>(v);
+      pinv[ch] = static_cast<float>(is);
+      for (int64_t i = 0; i < n; ++i) {
+        const float* base = pi + (i * c + ch) * hw;
+        float* xbase = pxhat + (i * c + ch) * hw;
+        float* obase = pout + (i * c + ch) * hw;
+        for (int64_t j = 0; j < hw; ++j) {
+          const float xh = static_cast<float>((base[j] - mu) * is);
+          xbase[j] = xh;
+          obase[j] = pg[ch] * xh + pb[ch];
+        }
       }
     }
-    const double v = sq / static_cast<double>(m);
-    const double is = 1.0 / std::sqrt(v + eps);
-    pmean[ch] = static_cast<float>(mu);
-    pvar[ch] = static_cast<float>(v);
-    pinv[ch] = static_cast<float>(is);
-    for (int64_t i = 0; i < n; ++i) {
-      const float* base = pi + (i * c + ch) * hw;
-      float* xbase = pxhat + (i * c + ch) * hw;
-      float* obase = pout + (i * c + ch) * hw;
-      for (int64_t j = 0; j < hw; ++j) {
-        const float xh = static_cast<float>((base[j] - mu) * is);
-        xbase[j] = xh;
-        obase[j] = pg[ch] * xh + pb[ch];
-      }
-    }
-  }
+  });
 
   if (AnyRequiresGrad({&input, &gamma, &beta})) {
     Tensor sgamma = gamma, sxhat = xhat, sinvstd = invstd;
@@ -578,31 +586,36 @@ BatchNormResult BatchNorm2d(const Tensor& input, const Tensor& gamma,
              float* pgi = grad_input.data<float>();
              float* pgg = grad_gamma.data<float>();
              float* pgb = grad_beta.data<float>();
-             for (int64_t ch = 0; ch < sc; ++ch) {
-               double sum_go = 0.0, sum_go_xhat = 0.0;
-               for (int64_t i = 0; i < sn; ++i) {
-                 const float* gb = pgo + (i * sc + ch) * shw;
-                 const float* xb = pxh + (i * sc + ch) * shw;
-                 for (int64_t j = 0; j < shw; ++j) {
-                   sum_go += gb[j];
-                   sum_go_xhat += static_cast<double>(gb[j]) * xb[j];
+             // One writer per channel, serial sums within it: bit-exact
+             // for any pool size.
+             ParallelFor(0, sc, GrainFromCost(4 * m), [&](int64_t cb,
+                                                          int64_t ce) {
+               for (int64_t ch = cb; ch < ce; ++ch) {
+                 double sum_go = 0.0, sum_go_xhat = 0.0;
+                 for (int64_t i = 0; i < sn; ++i) {
+                   const float* gb = pgo + (i * sc + ch) * shw;
+                   const float* xb = pxh + (i * sc + ch) * shw;
+                   for (int64_t j = 0; j < shw; ++j) {
+                     sum_go += gb[j];
+                     sum_go_xhat += static_cast<double>(gb[j]) * xb[j];
+                   }
+                 }
+                 pgg[ch] = static_cast<float>(sum_go_xhat);
+                 pgb[ch] = static_cast<float>(sum_go);
+                 const double scale =
+                     static_cast<double>(pgam[ch]) * pis[ch] / m;
+                 for (int64_t i = 0; i < sn; ++i) {
+                   const float* gb = pgo + (i * sc + ch) * shw;
+                   const float* xb = pxh + (i * sc + ch) * shw;
+                   float* ib = pgi + (i * sc + ch) * shw;
+                   for (int64_t j = 0; j < shw; ++j) {
+                     ib[j] = static_cast<float>(
+                         scale * (m * static_cast<double>(gb[j]) - sum_go -
+                                  static_cast<double>(xb[j]) * sum_go_xhat));
+                   }
                  }
                }
-               pgg[ch] = static_cast<float>(sum_go_xhat);
-               pgb[ch] = static_cast<float>(sum_go);
-               const double scale =
-                   static_cast<double>(pgam[ch]) * pis[ch] / m;
-               for (int64_t i = 0; i < sn; ++i) {
-                 const float* gb = pgo + (i * sc + ch) * shw;
-                 const float* xb = pxh + (i * sc + ch) * shw;
-                 float* ib = pgi + (i * sc + ch) * shw;
-                 for (int64_t j = 0; j < shw; ++j) {
-                   ib[j] = static_cast<float>(
-                       scale * (m * static_cast<double>(gb[j]) - sum_go -
-                                static_cast<double>(xb[j]) * sum_go_xhat));
-                 }
-               }
-             }
+             });
              return std::vector<Tensor>{grad_input, grad_gamma, grad_beta};
            });
   }

@@ -116,6 +116,82 @@ void AccumMaxF64ScalarImpl(double* dst, const double* src, int64_t n) {
   });
 }
 
+void GatherScalarImpl(float* dst, const float* src, const int32_t* index,
+                      int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = src[index[i]];
+}
+
+// ---------------------------------------------------------------------------
+// GEMM tiles (the contract is in vec.h). A tile holds a rows×cols block of
+// C in registers — rows <= kGemmRows, cols <= the level's tile width — for
+// the whole k range: per p it loads one row of B, broadcasts one A value
+// per row, and adds the rounded products. The drivers walk column tiles
+// outermost so the k×cols strip of B stays in cache across the row tiles.
+// ---------------------------------------------------------------------------
+
+constexpr int kGemmRows = 4;
+
+/// Calls TILE<rows>(args...) for the rows (>= 1) left in a row tile,
+/// capped at kGemmRows.
+#define DDPKIT_GEMM_ROW_TILE(TILE, rows, ...)                         \
+  do {                                                                \
+    switch ((rows) < kGemmRows ? (rows) : kGemmRows) {                \
+      case 4:                                                         \
+        TILE<4>(__VA_ARGS__);                                         \
+        break;                                                        \
+      case 3:                                                         \
+        TILE<3>(__VA_ARGS__);                                         \
+        break;                                                        \
+      case 2:                                                         \
+        TILE<2>(__VA_ARGS__);                                         \
+        break;                                                        \
+      default:                                                        \
+        TILE<1>(__VA_ARGS__);                                         \
+        break;                                                        \
+    }                                                                 \
+  } while (0)
+
+template <int R>
+void GemmTileScalar(int64_t k, const float* a, int64_t a_rs, int64_t a_cs,
+                    const float* b, int64_t ldb, const int64_t* b_rows,
+                    float* c, int64_t ldc, int64_t cols, bool accumulate) {
+  constexpr int64_t kW = 8;
+  float acc[R][kW];
+  for (int r = 0; r < R; ++r) {
+    for (int64_t j = 0; j < kW; ++j) {
+      acc[r][j] = accumulate && j < cols ? c[r * ldc + j] : 0.0f;
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* bp = b_rows != nullptr ? b + b_rows[p] : b + p * ldb;
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * a_rs + p * a_cs];
+      for (int64_t j = 0; j < cols; ++j) {
+        const float prod = av * bp[j];
+        acc[r][j] = acc[r][j] + prod;
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int64_t j = 0; j < cols; ++j) c[r * ldc + j] = acc[r][j];
+  }
+}
+
+void GemmScalarImpl(int64_t m, int64_t n, int64_t k, const float* a,
+                    int64_t a_rs, int64_t a_cs, const float* b, int64_t ldb,
+                    const int64_t* b_rows, float* c, int64_t ldc,
+                    bool accumulate) {
+  for (int64_t j0 = 0; j0 < n; j0 += 8) {
+    const int64_t cols = n - j0 < 8 ? n - j0 : 8;
+    for (int64_t i0 = 0; i0 < m; i0 += kGemmRows) {
+      const float* ai = a + i0 * a_rs;
+      float* cij = c + i0 * ldc + j0;
+      DDPKIT_GEMM_ROW_TILE(GemmTileScalar, m - i0, k, ai, a_rs, a_cs, b + j0,
+                           ldb, b_rows, cij, ldc, cols, accumulate);
+    }
+  }
+}
+
 #if defined(DDPKIT_VEC_X86)
 
 // ---------------------------------------------------------------------------
@@ -347,6 +423,158 @@ DDPKIT_TARGET_AVX512 void AccumMaxF64Avx512(double* dst, const double* src,
   for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
 }
 
+DDPKIT_TARGET_AVX2 void GatherAvx2(float* dst, const float* src,
+                                   const int32_t* index, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(index + i));
+    _mm256_storeu_ps(dst + i, _mm256_i32gather_ps(src, idx, 4));
+  }
+  for (; i < n; ++i) dst[i] = src[index[i]];
+}
+
+// ---------------------------------------------------------------------------
+// GEMM tiles, AVX2: 4×16 (two registers per row; a 4×32 tile would need
+// all 16 ymm registers for accumulators alone). Column tails go through
+// maskload/maskstore, which never touch the masked-off lanes' memory.
+// ---------------------------------------------------------------------------
+
+DDPKIT_TARGET_AVX2 inline __m256i ColMask8(int64_t cols) {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const int lim = cols < 0 ? 0 : (cols > 8 ? 8 : static_cast<int>(cols));
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(lim), iota);
+}
+
+template <int R>
+DDPKIT_TARGET_AVX2 void GemmTileAvx2(int64_t k, const float* a, int64_t a_rs,
+                                     int64_t a_cs, const float* b,
+                                     int64_t ldb, const int64_t* b_rows,
+                                     float* c, int64_t ldc, __m256i m0,
+                                     __m256i m1,
+                                     bool accumulate) {
+  __m256 acc0[R], acc1[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    if (accumulate) {
+      acc0[r] = _mm256_maskload_ps(c + r * ldc, m0);
+      acc1[r] = _mm256_maskload_ps(c + r * ldc + 8, m1);
+    } else {
+      acc0[r] = _mm256_setzero_ps();
+      acc1[r] = _mm256_setzero_ps();
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* bp = b_rows != nullptr ? b + b_rows[p] : b + p * ldb;
+    const __m256 b0 = _mm256_maskload_ps(bp, m0);
+    const __m256 b1 = _mm256_maskload_ps(bp + 8, m1);
+    const float* ap = a + p * a_cs;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * a_rs);
+      acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
+      acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    _mm256_maskstore_ps(c + r * ldc, m0, acc0[r]);
+    _mm256_maskstore_ps(c + r * ldc + 8, m1, acc1[r]);
+  }
+}
+
+DDPKIT_TARGET_AVX2 void GemmAvx2(int64_t m, int64_t n, int64_t k,
+                                 const float* a, int64_t a_rs, int64_t a_cs,
+                                 const float* b, int64_t ldb,
+                                 const int64_t* b_rows, float* c,
+                                 int64_t ldc, bool accumulate) {
+  for (int64_t j0 = 0; j0 < n; j0 += 16) {
+    const __m256i m0 = ColMask8(n - j0);
+    const __m256i m1 = ColMask8(n - j0 - 8);
+    for (int64_t i0 = 0; i0 < m; i0 += kGemmRows) {
+      const float* ai = a + i0 * a_rs;
+      float* cij = c + i0 * ldc + j0;
+      DDPKIT_GEMM_ROW_TILE(GemmTileAvx2, m - i0, k, ai, a_rs, a_cs, b + j0, ldb,
+                           b_rows, cij, ldc, m0, m1, accumulate);
+    }
+  }
+}
+
+DDPKIT_TARGET_AVX512 void GatherAvx512(float* dst, const float* src,
+                                       const int32_t* index, int64_t n) {
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i idx = _mm512_loadu_si512(index + i);
+    _mm512_storeu_ps(dst + i, _mm512_i32gather_ps(idx, src, 4));
+  }
+  for (; i < n; ++i) dst[i] = src[index[i]];
+}
+
+// ---------------------------------------------------------------------------
+// GEMM tiles, AVX-512: the 4×32 register tile (8 accumulators, two B
+// registers, one broadcast). Column tails use masked loads/stores.
+// ---------------------------------------------------------------------------
+
+inline __mmask16 ColMask16(int64_t cols) {
+  if (cols <= 0) return 0;
+  if (cols >= 16) return 0xFFFF;
+  return static_cast<__mmask16>((1u << cols) - 1u);
+}
+
+template <int R>
+DDPKIT_TARGET_AVX512 void GemmTileAvx512(int64_t k, const float* a,
+                                         int64_t a_rs, int64_t a_cs,
+                                         const float* b, int64_t ldb,
+                                         const int64_t* b_rows, float* c,
+                                         int64_t ldc, __mmask16 m0,
+                                         __mmask16 m1, bool accumulate) {
+  __m512 acc0[R], acc1[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    if (accumulate) {
+      acc0[r] = _mm512_maskz_loadu_ps(m0, c + r * ldc);
+      acc1[r] = _mm512_maskz_loadu_ps(m1, c + r * ldc + 16);
+    } else {
+      acc0[r] = _mm512_setzero_ps();
+      acc1[r] = _mm512_setzero_ps();
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* bp = b_rows != nullptr ? b + b_rows[p] : b + p * ldb;
+    const __m512 b0 = _mm512_maskz_loadu_ps(m0, bp);
+    const __m512 b1 = _mm512_maskz_loadu_ps(m1, bp + 16);
+    const float* ap = a + p * a_cs;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(ap[r * a_rs]);
+      acc0[r] = _mm512_add_ps(acc0[r], _mm512_mul_ps(av, b0));
+      acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(av, b1));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    _mm512_mask_storeu_ps(c + r * ldc, m0, acc0[r]);
+    _mm512_mask_storeu_ps(c + r * ldc + 16, m1, acc1[r]);
+  }
+}
+
+DDPKIT_TARGET_AVX512 void GemmAvx512(int64_t m, int64_t n, int64_t k,
+                                     const float* a, int64_t a_rs,
+                                     int64_t a_cs, const float* b,
+                                     int64_t ldb, const int64_t* b_rows,
+                                     float* c, int64_t ldc, bool accumulate) {
+  for (int64_t j0 = 0; j0 < n; j0 += kGemmPanelCols) {
+    const __mmask16 m0 = ColMask16(n - j0);
+    const __mmask16 m1 = ColMask16(n - j0 - 16);
+    for (int64_t i0 = 0; i0 < m; i0 += kGemmRows) {
+      const float* ai = a + i0 * a_rs;
+      float* cij = c + i0 * ldc + j0;
+      DDPKIT_GEMM_ROW_TILE(GemmTileAvx512, m - i0, k, ai, a_rs, a_cs, b + j0,
+                           ldb, b_rows, cij, ldc, m0, m1, accumulate);
+    }
+  }
+}
+
 #endif  // DDPKIT_VEC_X86
 
 // ---------------------------------------------------------------------------
@@ -517,6 +745,43 @@ void Copy(double* dst, const double* src, int64_t n) {
   if (n > 0) std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(double));
 }
 
+void Gather(float* dst, int64_t dst_stride, const float* src,
+            int64_t src_stride, const int32_t* index, int64_t n,
+            int64_t rows) {
+  // One dispatch per call, not per row: panel rows are short.
+  switch (ActiveLevel()) {
+#if defined(DDPKIT_VEC_X86)
+    case Level::kAvx512:
+      for (int64_t r = 0; r < rows; ++r) {
+        GatherAvx512(dst + r * dst_stride, src + r * src_stride, index, n);
+      }
+      return;
+    case Level::kAvx2:
+      for (int64_t r = 0; r < rows; ++r) {
+        GatherAvx2(dst + r * dst_stride, src + r * src_stride, index, n);
+      }
+      return;
+#endif
+    default:
+      for (int64_t r = 0; r < rows; ++r) {
+        GatherScalarImpl(dst + r * dst_stride, src + r * src_stride, index,
+                         n);
+      }
+  }
+}
+
+void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
+          int64_t a_cs, const float* b, int64_t ldb, float* c, int64_t ldc,
+          bool accumulate, const int64_t* b_rows) {
+  if (m <= 0 || n <= 0) return;
+  DDPKIT_VEC_DISPATCH(
+      GemmAvx512(m, n, k, a, a_rs, a_cs, b, ldb, b_rows, c, ldc, accumulate),
+      GemmAvx2(m, n, k, a, a_rs, a_cs, b, ldb, b_rows, c, ldc, accumulate),
+      GemmScalarImpl(m, n, k, a, a_rs, a_cs, b, ldb, b_rows, c, ldc,
+                     accumulate));
+}
+
 #undef DDPKIT_VEC_DISPATCH
+#undef DDPKIT_GEMM_ROW_TILE
 
 }  // namespace ddpkit::vec

@@ -25,8 +25,11 @@ namespace ddpkit::vec {
 /// deterministic run: results are identical across machines with different
 /// ISA extensions, across DDPKIT_SIMD overrides, and across pool sizes.
 /// Horizontal reductions (dot products, sums) are deliberately NOT offered
-/// here — they would change accumulation order; use ParallelReduce's
-/// chunked combine for those.
+/// here — splitting one sum across lanes would change its accumulation
+/// order; use ParallelReduce's chunked combine for those. The one
+/// reduction the layer does own is Gemm below, which vectorizes across
+/// *independent* output elements and keeps each element's own sum a
+/// serial ascending-k chain.
 
 // ---------------------------------------------------------------------------
 // Dispatch levels.
@@ -148,6 +151,42 @@ void AccumulateMax(double* dst, const double* src, int64_t n);
 /// entry point with the arithmetic kernels.
 void Copy(float* dst, const float* src, int64_t n);
 void Copy(double* dst, const double* src, int64_t n);
+
+/// dst[r * dst_stride + i] = src[r * src_stride + index[i]] for r < rows,
+/// i < n: the indexed copy that packs GEMM panels, one row per panel row.
+void Gather(float* dst, int64_t dst_stride, const float* src,
+            int64_t src_stride, const int32_t* index, int64_t n,
+            int64_t rows);
+
+// ---------------------------------------------------------------------------
+// GEMM micro-kernel: the one dense kernel under MatMul* and Conv2d*.
+// ---------------------------------------------------------------------------
+
+/// Widest column tile any level computes per pass (4×32 at AVX-512).
+/// Callers that pack B panels make them this wide.
+inline constexpr int64_t kGemmPanelCols = 32;
+
+/// C[m×n] = A[m×k]·B[k×n] (accumulate = false) or C += A·B (true).
+/// A(i, p) is a[i * a_rs + p * a_cs] (any strides, so transposed A needs
+/// no copy). B's columns are contiguous: row p starts at b + p * ldb, or at
+/// b + b_rows[p] when a row-offset table is given (an implicit im2col: row
+/// (ic, ky, kx) of a convolution is the input shifted by that tap). C is
+/// row-major with row stride ldc.
+///
+/// Every level computes each output element as
+///
+///   acc = accumulate ? C(i, j) : +0.0f
+///   for p = 0 .. k-1:  acc = acc + (A(i, p) * B(p, j))   // rounded mul,
+///   C(i, j) = acc                                         // then add
+///
+/// — an explicit product then sum in ascending p, never fused. Lanes hold
+/// different j, never different p, so the result is bit-identical at
+/// every dispatch level, and splitting C into disjoint tiles (for threads)
+/// or splitting k into consecutive blocks with accumulate = true after the
+/// first cannot change it either.
+void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
+          int64_t a_cs, const float* b, int64_t ldb, float* c, int64_t ldc,
+          bool accumulate, const int64_t* b_rows = nullptr);
 
 }  // namespace ddpkit::vec
 

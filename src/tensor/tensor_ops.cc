@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/vec.h"
@@ -217,90 +218,140 @@ Tensor Tanh(const Tensor& a) {
   return Unary(a, [](float x) { return std::tanh(x); });
 }
 
-// ---- Linear algebra -------------------------------------------------------------
+// ---- Dense kernels: one GEMM ------------------------------------------------------
+//
+// MatMul, MatMulTransA, MatMulTransB, Conv2d and both Conv2d backward
+// kernels are all vec::Gemm calls over disjoint output tiles: each output
+// element has exactly one writer and sums its products in one fixed
+// ascending order, so results do not depend on the pool size or the SIMD
+// level (DESIGN.md §10). A B operand that is row-major is read in place.
+// A convolution's im2col matrix is never built: one image is copied into a
+// per-thread buffer (zero-padded, phase-split or dilated) whose rows the
+// kernel reads in place through a row-offset table. What is left — Bᵀ in
+// MatMulTransB and the weight gradient's transposed im2col — is packed one
+// kPanelRows × kPanelCols panel at a time into a per-thread buffer.
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
+namespace {
+
+constexpr int64_t kPanelCols = vec::kGemmPanelCols;
+/// k rows per packed panel: a panel is at most 256 × 32 floats (32 KB).
+constexpr int64_t kPanelRows = 256;
+/// Output rows per MatMul tile (a multiple of the kernel's 4-row tile).
+constexpr int64_t kTileRows = 32;
+
+/// This thread's panel buffer, reused by every packed GEMM it runs.
+float* PanelBuffer() {
+  thread_local std::vector<float> panel(
+      static_cast<size_t>(kPanelRows * kPanelCols));
+  return panel.data();
+}
+
+/// C[m×n] (+)= A[m×k]·B where `pack(p0, p1, j0, cols, dst)` supplies B one
+/// panel at a time: B(p, j0 + jj) goes to dst[(p - p0) * kPanelCols + jj]
+/// for p in [p0, p1), jj in [0, cols). The k blocks of a column panel run
+/// in ascending order, the later ones accumulating, which vec::Gemm
+/// guarantees is the same as one pass over all of k.
+template <typename Pack>
+void GemmPacked(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
+                int64_t a_cs, float* c, int64_t ldc, bool accumulate,
+                const Pack& pack) {
+  float* panel = PanelBuffer();
+  for (int64_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    const int64_t cols = std::min(kPanelCols, n - j0);
+    if (k == 0) {
+      vec::Gemm(m, cols, 0, a, a_rs, a_cs, panel, kPanelCols, c + j0, ldc,
+                accumulate);
+    }
+    for (int64_t p0 = 0; p0 < k; p0 += kPanelRows) {
+      const int64_t p1 = std::min(k, p0 + kPanelRows);
+      pack(p0, p1, j0, cols, panel);
+      vec::Gemm(m, cols, p1 - p0, a + p0 * a_cs, a_rs, a_cs, panel,
+                kPanelCols, c + j0, ldc, accumulate || p0 > 0);
+    }
+  }
+}
+
+/// Runs body(i0, rows, j0, cols) over an m×n output cut into kTileRows ×
+/// kPanelCols tiles, in parallel. Tiles are numbered column-major, so the
+/// tiles one thread runs in a row share a B column strip in cache.
+template <typename Body>
+void ForEachTile(int64_t m, int64_t n, int64_t k, const Body& body) {
+  const int64_t row_tiles = (m + kTileRows - 1) / kTileRows;
+  const int64_t col_tiles = (n + kPanelCols - 1) / kPanelCols;
+  ParallelFor(0, row_tiles * col_tiles,
+              GrainFromCost(kTileRows * kPanelCols * std::max<int64_t>(k, 1)),
+              [&](int64_t tb, int64_t te) {
+    for (int64_t t = tb; t < te; ++t) {
+      const int64_t i0 = (t % row_tiles) * kTileRows;
+      const int64_t j0 = (t / row_tiles) * kPanelCols;
+      body(i0, std::min(kTileRows, m - i0), j0, std::min(kPanelCols, n - j0));
+    }
+  });
+}
+
+void CheckMatrices(const Tensor& a, const Tensor& b) {
   CheckFloatContiguous(a, "a");
   CheckFloatContiguous(b, "b");
   DDPKIT_CHECK_EQ(a.dim(), 2);
   DDPKIT_CHECK_EQ(b.dim(), 2);
+}
+
+}  // namespace
+
+// ---- Linear algebra -------------------------------------------------------------
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  CheckMatrices(a, b);
   const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
   DDPKIT_CHECK_EQ(k, b.size(0));
-  // Empty + per-row zeroing inside the kernel: one pass over the output
-  // instead of a full memset followed by the accumulation pass.
   Tensor out = Tensor::Empty({m, n}, DType::kFloat32, a.device_id());
   const float* pa = a.data<float>();
   const float* pb = b.data<float>();
   float* po = out.data<float>();
-  ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
-    for (int64_t i = rb; i < re; ++i) {
-      float* orow = po + i * n;
-      std::fill(orow, orow + n, 0.0f);
-      const float* arow = pa + i * k;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        // vec::Axpy is explicit mul-then-add at every dispatch level, the
-        // same rounding as the scalar `orow[j] += av * brow[j]` it replaces.
-        vec::Axpy(av, pb + p * n, orow, n);
-      }
-    }
+  ForEachTile(m, n, k, [&](int64_t i0, int64_t rows, int64_t j0, int64_t cols) {
+    vec::Gemm(rows, cols, k, pa + i0 * k, k, 1, pb + j0, n, po + i0 * n + j0,
+              n, /*accumulate=*/false);
   });
   return out;
 }
 
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
-  CheckFloatContiguous(a, "a");
-  CheckFloatContiguous(b, "b");
-  DDPKIT_CHECK_EQ(a.dim(), 2);
-  DDPKIT_CHECK_EQ(b.dim(), 2);
+  CheckMatrices(a, b);
   const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
   DDPKIT_CHECK_EQ(k, b.size(0));
   Tensor out = Tensor::Empty({m, n}, DType::kFloat32, a.device_id());
   const float* pa = a.data<float>();
   const float* pb = b.data<float>();
   float* po = out.data<float>();
-  // i-outer so each output row has exactly one writer; the seed's k-outer
-  // loop would race when rows are split across threads. Per-element
-  // accumulation order (ascending p) is unchanged, so results stay
-  // bit-exact with the serial version.
-  ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
-    for (int64_t i = rb; i < re; ++i) {
-      float* orow = po + i * n;
-      std::fill(orow, orow + n, 0.0f);
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = pa[p * m + i];
-        if (av == 0.0f) continue;
-        vec::Axpy(av, pb + p * n, orow, n);
-      }
-    }
+  // A(i, p) = a[p][i]: the kernel reads A through strides, so no copy.
+  ForEachTile(m, n, k, [&](int64_t i0, int64_t rows, int64_t j0, int64_t cols) {
+    vec::Gemm(rows, cols, k, pa + i0, 1, m, pb + j0, n, po + i0 * n + j0, n,
+              /*accumulate=*/false);
   });
   return out;
 }
 
 Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
-  CheckFloatContiguous(a, "a");
-  CheckFloatContiguous(b, "b");
-  DDPKIT_CHECK_EQ(a.dim(), 2);
-  DDPKIT_CHECK_EQ(b.dim(), 2);
+  CheckMatrices(a, b);
   const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
   DDPKIT_CHECK_EQ(k, b.size(1));
   Tensor out = Tensor::Empty({m, n}, DType::kFloat32, a.device_id());
   const float* pa = a.data<float>();
   const float* pb = b.data<float>();
   float* po = out.data<float>();
-  ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
-    for (int64_t i = rb; i < re; ++i) {
-      const float* arow = pa + i * k;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        float acc = 0.0f;
-        // ddplint: allow(raw-elementwise-loop) horizontal dot product; the
-        // vec layer offers no reductions (lane order would change rounding)
-        for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        po[i * n + j] = acc;
-      }
-    }
+  ForEachTile(m, n, k, [&](int64_t i0, int64_t rows, int64_t j0, int64_t cols) {
+    // B(p, j) = b[j][p]: pack each column strip of b's rows as a k panel.
+    GemmPacked(rows, cols, k, pa + i0 * k, k, 1, po + i0 * n + j0, n,
+               /*accumulate=*/false,
+               [&](int64_t p0, int64_t p1, int64_t jp, int64_t cc,
+                   float* dst) {
+                 for (int64_t jj = 0; jj < cc; ++jj) {
+                   const float* src = pb + (j0 + jp + jj) * k;
+                   for (int64_t p = p0; p < p1; ++p) {
+                     dst[(p - p0) * kPanelCols + jj] = src[p];
+                   }
+                 }
+               });
   });
   return out;
 }
@@ -365,6 +416,145 @@ int64_t ConvOutSize(int64_t in, int64_t kernel, int64_t stride,
   return (in + 2 * padding - kernel) / stride + 1;
 }
 
+struct ConvGeom {
+  int64_t cin, h, w, cout, kh, kw, oh, ow, stride, pad;
+};
+
+/// This thread's copy of one image in the layout a conv GEMM reads in
+/// place (see ShiftedInput / ShiftedGrad); grows to the largest image.
+float* ImageBuffer(int64_t floats) {
+  thread_local std::vector<float> image;
+  if (static_cast<int64_t>(image.size()) < floats) {
+    image.resize(static_cast<size_t>(floats));
+  }
+  return image.data();
+}
+
+/// dst[t] = src[x0 + t * stride] for the t whose index lies in [0, width),
+/// +0 for the rest (padding); src == nullptr is a padding row.
+void StridedGather(const float* src, int64_t width, int64_t x0,
+                   int64_t stride, int64_t len, float* dst) {
+  int64_t lo = len, hi = len;
+  if (src != nullptr && x0 < width) {
+    lo = std::min(len, x0 >= 0 ? 0 : (-x0 + stride - 1) / stride);
+    hi = std::max(lo, std::min(len, (width - 1 - x0) / stride + 1));
+  }
+  std::fill(dst, dst + lo, 0.0f);
+  if (stride == 1) {
+    if (hi > lo) vec::Copy(dst + lo, src + x0 + lo, hi - lo);
+  } else {
+    for (int64_t t = lo; t < hi; ++t) dst[t] = src[x0 + t * stride];
+  }
+  std::fill(dst + hi, dst + len, 0.0f);
+}
+
+/// The forward conv's B operand, im2col without the copies. One image is
+/// zero-padded and split into stride × stride phases,
+///
+///   buf[ic][ry][rx][r][c] = input[ic][r·s + ry − pad][c·s + rx − pad]
+///
+/// (+0 outside the input), so that the tap (ic, ky, kx) of output pixel
+/// (y, x) sits at buf + offsets[(ic, ky, kx)] + y·cols + x: every GEMM row
+/// is contiguous along x, whatever the stride. With stride 1 there is one
+/// phase and buf is just the padded image.
+struct ShiftedInput {
+  int64_t phases_y, phases_x, rows, cols;
+  std::vector<int64_t> offsets;  // per (ic, ky, kx), ascending
+
+  explicit ShiftedInput(const ConvGeom& g)
+      : phases_y(std::min(g.stride, g.kh)),
+        phases_x(std::min(g.stride, g.kw)),
+        rows(g.oh + (g.kh - 1) / g.stride),
+        cols(g.ow + (g.kw - 1) / g.stride) {
+    offsets.reserve(static_cast<size_t>(g.cin * g.kh * g.kw));
+    for (int64_t ic = 0; ic < g.cin; ++ic) {
+      for (int64_t ky = 0; ky < g.kh; ++ky) {
+        for (int64_t kx = 0; kx < g.kw; ++kx) {
+          const int64_t phase =
+              (ic * phases_y + ky % g.stride) * phases_x + kx % g.stride;
+          offsets.push_back((phase * rows + ky / g.stride) * cols +
+                            kx / g.stride);
+        }
+      }
+    }
+  }
+
+  int64_t floats(const ConvGeom& g) const {
+    return g.cin * phases_y * phases_x * rows * cols;
+  }
+
+  void Fill(const float* image, const ConvGeom& g, float* buf) const {
+    for (int64_t ic = 0; ic < g.cin; ++ic) {
+      const float* plane = image + ic * g.h * g.w;
+      for (int64_t ry = 0; ry < phases_y; ++ry) {
+        for (int64_t rx = 0; rx < phases_x; ++rx) {
+          float* dst = buf + ((ic * phases_y + ry) * phases_x + rx) * rows *
+                                 cols;
+          for (int64_t r = 0; r < rows; ++r) {
+            const int64_t iy = r * g.stride + ry - g.pad;
+            StridedGather(iy >= 0 && iy < g.h ? plane + iy * g.w : nullptr,
+                          g.w, rx - g.pad, g.stride, cols, dst + r * cols);
+          }
+        }
+      }
+    }
+  }
+};
+
+/// The input-gradient conv's B operand: one image of grad_out, zero-
+/// dilated by the stride and zero-padded so that
+///
+///   buf[oc][iy + ky'][ix + kx'] = grad_out[oc][y][x]  where
+///   y·s = iy + pad − ky, x·s = ix + pad − kx, ky = kh−1−ky', kx = kw−1−kx'
+///
+/// (+0 where no output pixel lands). Row (oc, ky', kx') of the GEMM for
+/// input row iy is then contiguous along ix at buf + offsets[…] + iy·cols.
+struct ShiftedGrad {
+  int64_t rows, cols;
+  std::vector<int64_t> offsets;  // per (oc, ky', kx'), ascending
+
+  explicit ShiftedGrad(const ConvGeom& g)
+      : rows(g.h + g.kh - 1), cols(g.w + g.kw - 1) {
+    offsets.reserve(static_cast<size_t>(g.cout * g.kh * g.kw));
+    for (int64_t oc = 0; oc < g.cout; ++oc) {
+      for (int64_t ky = 0; ky < g.kh; ++ky) {
+        for (int64_t kx = 0; kx < g.kw; ++kx) {
+          offsets.push_back((oc * rows + ky) * cols + kx);
+        }
+      }
+    }
+  }
+
+  int64_t floats(const ConvGeom& g) const { return g.cout * rows * cols; }
+
+  void Fill(const float* grad_image, const ConvGeom& g, float* buf) const {
+    // Buffer (r, c) holds output pixel ((r − top) / s, (c − left) / s).
+    const int64_t top = g.kh - 1 - g.pad, left = g.kw - 1 - g.pad;
+    for (int64_t oc = 0; oc < g.cout; ++oc) {
+      const float* plane = grad_image + oc * g.oh * g.ow;
+      for (int64_t r = 0; r < rows; ++r) {
+        float* dst = buf + (oc * rows + r) * cols;
+        const int64_t ny = r - top;
+        const bool hit =
+            ny >= 0 && ny % g.stride == 0 && ny / g.stride < g.oh;
+        const float* src = hit ? plane + ny / g.stride * g.ow : nullptr;
+        if (g.stride == 1) {
+          StridedGather(src, g.ow, -left, 1, cols, dst);
+          continue;
+        }
+        std::fill(dst, dst + cols, 0.0f);
+        if (src == nullptr) continue;
+        for (int64_t x = 0; x < g.ow; ++x) {
+          const int64_t c = x * g.stride + left;
+          // ddplint: allow(raw-elementwise-loop) zero-dilated scatter;
+          // the vec layer has no strided stores
+          if (c >= 0 && c < cols) dst[c] = src[x];
+        }
+      }
+    }
+  }
+};
+
 }  // namespace
 
 Tensor Conv2d(const Tensor& input, const Tensor& weight,
@@ -383,32 +573,23 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight,
   DDPKIT_CHECK(oh > 0 && ow > 0);
   Tensor out =
       Tensor::Empty({batch, cout, oh, ow}, DType::kFloat32, input.device_id());
+  const ConvGeom g{cin, h, w, cout, kh, kw, oh, ow, args.stride, args.padding};
+  const ShiftedInput shifted(g);
+  const int64_t kdim = cin * kh * kw, plane = oh * ow;
   const float* pi = input.data<float>();
   const float* pw = weight.data<float>();
   float* po = out.data<float>();
-  // One work item per output scanline (n, oc, y); every output element is
-  // written by exactly one thread.
-  ParallelFor(0, batch * cout * oh, GrainFromCost(ow * cin * kh * kw),
-              [&](int64_t rb, int64_t re) {
-    for (int64_t row = rb; row < re; ++row) {
-      const int64_t y = row % oh;
-      const int64_t oc = (row / oh) % cout;
-      const int64_t n = row / (oh * cout);
-      for (int64_t x = 0; x < ow; ++x) {
-        float acc = 0.0f;
-        for (int64_t ic = 0; ic < cin; ++ic) {
-          for (int64_t ky = 0; ky < kh; ++ky) {
-            const int64_t iy = y * args.stride - args.padding + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (int64_t kx = 0; kx < kw; ++kx) {
-              const int64_t ix = x * args.stride - args.padding + kx;
-              if (ix < 0 || ix >= w) continue;
-              acc += pi[((n * cin + ic) * h + iy) * w + ix] *
-                     pw[((oc * cin + ic) * kh + ky) * kw + kx];
-            }
-          }
-        }
-        po[((n * cout + oc) * oh + y) * ow + x] = acc;
+  // Per image and output row y: out[n][:, y, :] (cout × ow) = weight
+  // (cout × kdim) · B, B's rows the taps (ic, ky, kx) in ascending order.
+  ParallelFor(0, batch, GrainFromCost(cout * kdim * plane),
+              [&](int64_t nb, int64_t ne) {
+    float* buf = ImageBuffer(shifted.floats(g));
+    for (int64_t n = nb; n < ne; ++n) {
+      shifted.Fill(pi + n * cin * h * w, g, buf);
+      for (int64_t y = 0; y < oh; ++y) {
+        vec::Gemm(cout, ow, kdim, pw, kdim, 1, buf + y * shifted.cols, 0,
+                  po + n * cout * plane + y * ow, plane,
+                  /*accumulate=*/false, shifted.offsets.data());
       }
     }
   });
@@ -426,32 +607,40 @@ Tensor Conv2dBackwardInput(const Tensor& grad_out, const Tensor& weight,
                 kw = weight.size(3);
   const int64_t oh = grad_out.size(2), ow = grad_out.size(3);
   Tensor grad_in =
-      Tensor::Zeros(input_shape, DType::kFloat32, grad_out.device_id());
+      Tensor::Empty(input_shape, DType::kFloat32, grad_out.device_id());
+  const ConvGeom g{cin, h, w, cout, kh, kw, oh, ow, args.stride, args.padding};
+  const ShiftedGrad shifted(g);
+  const int64_t kdim = cout * kh * kw, taps = kh * kw, plane = h * w;
   const float* pg = grad_out.data<float>();
   const float* pw = weight.data<float>();
   float* pi = grad_in.data<float>();
-  for (int64_t n = 0; n < batch; ++n) {
+  // The weights transposed to (ic) × (oc, ky', kx') and flipped in both
+  // taps, so (oc, ky'↑, kx'↑) is (oc, ky↓, kx↓): for a fixed input pixel
+  // that is grad_out's (oc, y↑, x↑) order. Weight-sized, built once.
+  std::vector<float> flipped(static_cast<size_t>(cin * kdim));
+  for (int64_t ic = 0; ic < cin; ++ic) {
     for (int64_t oc = 0; oc < cout; ++oc) {
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x) {
-          const float g = pg[((n * cout + oc) * oh + y) * ow + x];
-          if (g == 0.0f) continue;
-          for (int64_t ic = 0; ic < cin; ++ic) {
-            for (int64_t ky = 0; ky < kh; ++ky) {
-              const int64_t iy = y * args.stride - args.padding + ky;
-              if (iy < 0 || iy >= h) continue;
-              for (int64_t kx = 0; kx < kw; ++kx) {
-                const int64_t ix = x * args.stride - args.padding + kx;
-                if (ix < 0 || ix >= w) continue;
-                pi[((n * cin + ic) * h + iy) * w + ix] +=
-                    g * pw[((oc * cin + ic) * kh + ky) * kw + kx];
-              }
-            }
-          }
-        }
+      const float* src = pw + (oc * cin + ic) * taps;
+      float* dst = flipped.data() + ic * kdim + oc * taps;
+      for (int64_t tap = 0; tap < taps; ++tap) {
+        dst[taps - 1 - tap] = src[tap];
       }
     }
   }
+  // Per image and input row iy: grad_in[n][:, iy, :] (cin × w) = flipped
+  // (cin × kdim) · B over the dilated, padded grad_out.
+  ParallelFor(0, batch, GrainFromCost(cin * kdim * plane),
+              [&](int64_t nb, int64_t ne) {
+    float* buf = ImageBuffer(shifted.floats(g));
+    for (int64_t n = nb; n < ne; ++n) {
+      shifted.Fill(pg + n * cout * oh * ow, g, buf);
+      for (int64_t iy = 0; iy < h; ++iy) {
+        vec::Gemm(cin, w, kdim, flipped.data(), kdim, 1,
+                  buf + iy * shifted.cols, 0, pi + n * cin * plane + iy * w,
+                  plane, /*accumulate=*/false, shifted.offsets.data());
+      }
+    }
+  });
   return grad_in;
 }
 
@@ -467,31 +656,46 @@ Tensor Conv2dBackwardWeight(const Tensor& grad_out, const Tensor& input,
   const int64_t oh = grad_out.size(2), ow = grad_out.size(3);
   Tensor grad_w =
       Tensor::Zeros(weight_shape, DType::kFloat32, input.device_id());
+  const ConvGeom g{cin, h, w, cout, kh, kw, oh, ow, args.stride, args.padding};
+  const ShiftedInput shifted(g);
+  const int64_t kdim = cin * kh * kw, plane = oh * ow;
   const float* pg = grad_out.data<float>();
   const float* pi = input.data<float>();
   float* pw = grad_w.data<float>();
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t oc = 0; oc < cout; ++oc) {
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x) {
-          const float g = pg[((n * cout + oc) * oh + y) * ow + x];
-          if (g == 0.0f) continue;
-          for (int64_t ic = 0; ic < cin; ++ic) {
-            for (int64_t ky = 0; ky < kh; ++ky) {
-              const int64_t iy = y * args.stride - args.padding + ky;
-              if (iy < 0 || iy >= h) continue;
-              for (int64_t kx = 0; kx < kw; ++kx) {
-                const int64_t ix = x * args.stride - args.padding + kx;
-                if (ix < 0 || ix >= w) continue;
-                pw[((oc * cin + ic) * kh + ky) * kw + kx] +=
-                    g * pi[((n * cin + ic) * h + iy) * w + ix];
-              }
-            }
-          }
-        }
+  // grad_w (cout × kdim) += grad_out[n] (cout × plane) · im2col(input[n])ᵀ
+  // for n ascending, one task per 32-wide column panel of grad_w: every
+  // weight element sums over (n, y, x) in ascending order.
+  DDPKIT_CHECK_LT(shifted.floats(g), int64_t{1} << 31);
+  const std::vector<int32_t> taps(shifted.offsets.begin(),
+                                  shifted.offsets.end());
+  const int64_t panels = (kdim + kPanelCols - 1) / kPanelCols;
+  ParallelFor(0, panels, GrainFromCost(batch * plane * cout * kPanelCols),
+              [&](int64_t tb, int64_t te) {
+    float* buf = ImageBuffer(shifted.floats(g));
+    for (int64_t t = tb; t < te; ++t) {
+      const int64_t j0 = t * kPanelCols;
+      for (int64_t n = 0; n < batch; ++n) {
+        shifted.Fill(pi + n * cin * h * w, g, buf);
+        GemmPacked(cout, std::min(kPanelCols, kdim - j0), plane,
+                   pg + n * cout * plane, plane, 1, pw + j0, kdim,
+                   /*accumulate=*/true,
+                   [&](int64_t p0, int64_t p1, int64_t jp, int64_t cols,
+                       float* dst) {
+                     // Panel row q is output pixel (y, x): its taps
+                     // j0 + jp + [0, cols) gathered from the shifted image,
+                     // one output scanline run of rows per call.
+                     for (int64_t q = p0; q < p1;) {
+                       const int64_t x = q % ow;
+                       const int64_t run = std::min(p1 - q, ow - x);
+                       vec::Gather(dst + (q - p0) * kPanelCols, kPanelCols,
+                                   buf + q / ow * shifted.cols + x, 1,
+                                   taps.data() + j0 + jp, cols, run);
+                       q += run;
+                     }
+                   });
       }
     }
-  }
+  });
   return grad_w;
 }
 

@@ -10,7 +10,9 @@
 // forwards every child's stdout/stderr line-by-line with a "[rank N]"
 // prefix (and into per-rank log files when --log-dir is set, which the CI
 // multiprocess leg uploads as artifacts on failure), and reaps children
-// into a typed exit report.
+// into a typed exit report. --log-dir is created if missing; if a rank's
+// log file still cannot be opened the launcher exits 1 before spawning
+// anything, so a run never silently loses its logs.
 //
 // Exit status: 0 iff every rank exited 0 — except ranks named by
 // --allow-kill, which may die by signal (chaos tests kill -9 a rank on
@@ -38,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,8 +140,42 @@ struct Child {
   int wait_status = 0;
 };
 
+/// Creates --log-dir (and its parents) and opens every rank's log file, or
+/// explains on stderr why not and returns false. Runs before anything is
+/// spawned: a launch that cannot keep its logs does not start. The files
+/// are close-on-exec, so workers do not inherit each other's logs.
+bool OpenLogFiles(const LaunchOptions& options,
+                  std::vector<std::FILE*>* log_files) {
+  log_files->assign(static_cast<size_t>(options.nproc), nullptr);
+  if (options.log_dir.empty()) return true;
+  std::error_code ec;
+  std::filesystem::create_directories(options.log_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "ddp_launch: cannot create --log-dir %s: %s\n",
+                 options.log_dir.c_str(), ec.message().c_str());
+    return false;
+  }
+  for (int rank = 0; rank < options.nproc; ++rank) {
+    const std::string path =
+        options.log_dir + "/rank" + std::to_string(rank) + ".log";
+    std::FILE* f = std::fopen(path.c_str(), "we");
+    if (f == nullptr) {
+      std::fprintf(stderr, "ddp_launch: cannot open %s: %s\n", path.c_str(),
+                   std::strerror(errno));
+      for (std::FILE* open : *log_files) {
+        if (open != nullptr) std::fclose(open);
+      }
+      return false;
+    }
+    (*log_files)[static_cast<size_t>(rank)] = f;
+  }
+  return true;
+}
+
 int RunLauncher(const LaunchOptions& options) {
   using ddpkit::comm::StoreServerTcp;
+  std::vector<std::FILE*> log_files;
+  if (!OpenLogFiles(options, &log_files)) return 1;
   auto server = StoreServerTcp::Start("127.0.0.1", 0);
   if (!server.ok()) {
     std::fprintf(stderr, "ddp_launch: store server failed to start: %s\n",
@@ -168,8 +205,6 @@ int RunLauncher(const LaunchOptions& options) {
 
   std::vector<Child> children(static_cast<size_t>(options.nproc));
   std::vector<std::thread> log_threads;
-  std::vector<std::FILE*> log_files(static_cast<size_t>(options.nproc),
-                                    nullptr);
 
   for (int rank = 0; rank < options.nproc; ++rank) {
     int pipe_fds[2];
@@ -209,15 +244,6 @@ int RunLauncher(const LaunchOptions& options) {
     }
     close(pipe_fds[1]);
     children[static_cast<size_t>(rank)] = Child{pid, rank, false, 0};
-    if (!options.log_dir.empty()) {
-      const std::string path =
-          options.log_dir + "/rank" + std::to_string(rank) + ".log";
-      log_files[static_cast<size_t>(rank)] = std::fopen(path.c_str(), "w");
-      if (log_files[static_cast<size_t>(rank)] == nullptr) {
-        std::fprintf(stderr, "ddp_launch: cannot open %s: %s\n", path.c_str(),
-                     std::strerror(errno));
-      }
-    }
     log_threads.emplace_back(ForwardLogs, pipe_fds[0], rank,
                              log_files[static_cast<size_t>(rank)]);
   }
