@@ -1,12 +1,12 @@
 #include "comm/algorithms.h"
 
 #include <algorithm>
-#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/vec.h"
+#include "sim/topology.h"
 
 // ddplint: allow-file(check-in-comm) data-plane internal invariants: every
 // Run* entry is reached only after ProcessGroupSim's Contribute validated
@@ -22,372 +22,195 @@ const char* AlgorithmName(Algorithm algorithm) {
 
 namespace {
 
-template <typename T>
-T Combine(ReduceOp op, T a, T b) {
-  switch (op) {
-    case ReduceOp::kSum:
-      return a + b;
-    case ReduceOp::kMax:
-      return a > b ? a : b;
-    case ReduceOp::kBor:
-      if constexpr (std::is_integral_v<T>) {
-        return static_cast<T>(a | b);
-      } else {
-        // Logical-or semantics for float bitmaps.
-        return (a != 0 || b != 0) ? T{1} : T{0};
-      }
-  }
-  return a;
-}
+/// Elements per block when a batch is split across the intra-op pool.
+constexpr int64_t kStepGrain = 16384;
 
-/// dst[0..len) = Combine(dst, src) lanewise — the one combine loop every
-/// algorithm below funnels through. Float/double sum and max dispatch into
-/// the SIMD layer (bit-exact at every vector width, see common/vec.h); the
-/// remaining (integer, kBor) combinations stay scalar.
+/// One element-wise job: a local step, or a message as a copy from a
+/// sender's span (input) into a receiver's (data).
 template <typename T>
-void CombineSpan(ReduceOp op, T* dst, const T* src, int64_t len) {
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (op == ReduceOp::kSum) {
-      vec::AccumulateAdd(dst, src, len);
-      return;
-    }
-    if (op == ReduceOp::kMax) {
-      vec::AccumulateMax(dst, src, len);
-      return;
+struct Job {
+  Step step;
+  RankBuffers<T> buffers;
+};
+
+/// Runs independent jobs as one ParallelFor over kStepGrain blocks, so a
+/// round of small steps costs one pool dispatch, not one per step.
+template <typename T>
+void RunJobs(const std::vector<Job<T>>& jobs, ReduceOp op) {
+  std::vector<std::pair<size_t, int64_t>> blocks;  // (job, first element)
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    for (int64_t b = 0; b < jobs[j].step.dst.len; b += kStepGrain) {
+      blocks.emplace_back(j, b);
     }
   }
-  // ddplint: allow(raw-elementwise-loop) integer / kBor fallback; the vec
-  // layer covers the float and double sum/max hot paths above
-  for (int64_t i = 0; i < len; ++i) dst[i] = Combine(op, dst[i], src[i]);
-}
-
-template <typename T>
-void CopySpan(T* dst, const T* src, int64_t len) {
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    vec::Copy(dst, src, len);
-  } else {
-    if (len > 0) std::memcpy(dst, src, static_cast<size_t>(len) * sizeof(T));
-  }
-}
-
-/// Naive: combine contributions in ascending rank order into rank 0's
-/// buffer, then copy everywhere (gather + local reduce + broadcast). The
-/// reference combine order for the zoo property tests. Parallelized over
-/// elements; each element still accumulates ranks in ascending order, so
-/// the sum is bit-exact regardless of thread count.
-template <typename T>
-void NaiveAllReduce(ReduceOp op, const std::vector<T*>& bufs, int64_t n) {
-  const int world = static_cast<int>(bufs.size());
-  T* acc = bufs[0];
-  ParallelFor(0, n, GrainFromCost(world), [&](int64_t b, int64_t e) {
-    for (int r = 1; r < world; ++r) {
-      CombineSpan(op, acc + b, bufs[static_cast<size_t>(r)] + b, e - b);
-    }
-  });
-  ParallelFor(0, n, GrainFromCost(world), [&](int64_t b, int64_t e) {
-    for (int r = 1; r < world; ++r) {
-      CopySpan(bufs[static_cast<size_t>(r)] + b, acc + b, e - b);
+  ParallelFor(0, static_cast<int64_t>(blocks.size()), 1,
+              [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const auto [j, b] = blocks[static_cast<size_t>(i)];
+      const Job<T>& job = jobs[j];
+      RunLocalStep(job.step, op, job.buffers, b,
+                   std::min(job.step.dst.len, b + kStepGrain));
     }
   });
 }
 
-/// Ring: split the array into world * chunks_per_rank chunks. Chunk c is
-/// reduced by walking the ring starting at rank (c % world + 1) % world and
-/// accumulating until it returns to its owner — exactly the combine order
-/// of a reduce-scatter — then all-gathered to every rank.
-///
-/// chunks_per_rank == 1 is the classic two-phase ring (one chunk per rank
-/// per step). chunks_per_rank > 1 is the pipelined variant after
-/// fbcollective's allreduce_ring_chunked: with several in-flight chunks per
-/// rank, the reduce of chunk k overlaps the transfer of chunk k-1 and the
-/// bottleneck link stays busy through the whole collective. The data plane
-/// models exactly that chunking, so the two variants have *different* (but
-/// each individually deterministic) per-element summation orders.
+bool Overlap(const Span& a, const Span& b) {
+  return a.region == b.region && a.offset < b.offset + b.len &&
+         b.offset < a.offset + a.len;
+}
+
+/// Whether two local steps of one rank can run in either order.
+bool Disjoint(const Step& a, const Step& b) {
+  return !Overlap(a.dst, b.dst) && !Overlap(a.dst, b.src) &&
+         !Overlap(a.src, b.dst);
+}
+
+/// Walks every rank's schedule in the calling thread, in rounds. First,
+/// every receive whose peer's current step sends to it is delivered: one
+/// copy, straight from the sender's span into the receiver's. A wire step
+/// whose halves are all delivered completes. Then every rank runs its local
+/// steps up to its next wire step, in batches of steps that touch disjoint
+/// bytes. A sender cannot pass an undelivered send, so the copied bytes are
+/// the ones it held at that step — the blocking-socket semantics the
+/// schedules are written for — and no two jobs of a batch touch the same
+/// bytes, so the result does not depend on the order or the pool size.
 template <typename T>
-void RingAllReduce(ReduceOp op, const std::vector<T*>& bufs, int64_t n,
-                   int chunks_per_rank) {
-  const int world = static_cast<int>(bufs.size());
-  const int num_chunks = world * chunks_per_rank;
-  const int64_t base = n / num_chunks;
-  const int64_t rem = n % num_chunks;
-  auto chunk_begin = [&](int c) {
-    return base * c + std::min<int64_t>(c, rem);
+void Execute(const ScheduleParams& params, ReduceOp op,
+             const std::vector<T*>& data,
+             const std::vector<const T*>& inputs) {
+  const size_t world = static_cast<size_t>(params.world);
+  std::vector<Schedule> schedules;
+  int64_t scratch_total = 0;
+  int64_t accum_total = 0;
+  for (size_t r = 0; r < world; ++r) {
+    ScheduleParams mine = params;
+    mine.rank = static_cast<int>(r);
+    schedules.push_back(MakeSchedule(mine));
+    scratch_total += schedules.back().scratch;
+    accum_total += schedules.back().accum;
+  }
+  // One allocation for every rank's scratch: a per-rank allocation each
+  // call would be returned to the OS and faulted back in.
+  const auto scratch =
+      std::make_unique_for_overwrite<T[]>(static_cast<size_t>(scratch_total));
+  std::vector<float> accum(static_cast<size_t>(accum_total));
+  std::vector<RankBuffers<T>> buffers;
+  buffers.reserve(world);
+  int64_t scratch_at = 0;
+  int64_t accum_at = 0;
+  for (size_t r = 0; r < world; ++r) {
+    buffers.push_back({data[r], inputs.empty() ? nullptr : inputs[r],
+                       scratch.get() + scratch_at, accum.data() + accum_at});
+    scratch_at += schedules[r].scratch;
+    accum_at += schedules[r].accum;
+  }
+  std::vector<size_t> pc(world, 0);
+  std::vector<char> sent(world, 0);
+  std::vector<char> received(world, 0);
+  auto current = [&](size_t r) -> const Step* {
+    const std::vector<Step>& steps = schedules[r].steps;
+    return pc[r] < steps.size() ? &steps[pc[r]] : nullptr;
   };
-  auto chunk_size = [&](int c) { return base + (c < rem ? 1 : 0); };
-
-  std::vector<T> reduced(static_cast<size_t>(n));
-  for (int c = 0; c < num_chunks; ++c) {
-    const int64_t begin = chunk_begin(c);
-    const int64_t len = chunk_size(c);
-    if (len == 0) continue;
-    // Start from the ring successor of the chunk owner. Elements within the
-    // chunk are split across threads; each element is combined in the same
-    // ring order as the serial loop, so the result is bit-exact.
-    const int owner = c % world;
-    const T* src0 = bufs[static_cast<size_t>((owner + 1) % world)] + begin;
-    T* dst = reduced.data() + begin;
-    ParallelFor(0, len, GrainFromCost(world), [&](int64_t b, int64_t e) {
-      CopySpan(dst + b, src0 + b, e - b);
-      for (int s = 2; s <= world; ++s) {
-        const T* src = bufs[static_cast<size_t>((owner + s) % world)] + begin;
-        CombineSpan(op, dst + b, src + b, e - b);
+  auto is_local = [](const Step* s) {
+    return s->kind == StepKind::kCombine || s->kind == StepKind::kCopy;
+  };
+  auto sends = [](const Step* s) {
+    return s->kind == StepKind::kSend || s->kind == StepKind::kExchange;
+  };
+  auto recvs = [](const Step* s) {
+    return s->kind == StepKind::kRecv || s->kind == StepKind::kExchange;
+  };
+  std::vector<Job<T>> jobs;
+  for (;;) {
+    jobs.clear();
+    for (size_t r = 0; r < world; ++r) {
+      const Step* step = current(r);
+      if (step == nullptr || !recvs(step) || received[r]) continue;
+      const size_t peer = static_cast<size_t>(step->from);
+      const Step* theirs = current(peer);
+      if (theirs == nullptr || !sends(theirs) ||
+          theirs->to != static_cast<int>(r) || sent[peer]) {
+        continue;
       }
-    });
-  }
-  ParallelFor(0, n, GrainFromCost(world), [&](int64_t b, int64_t e) {
-    for (int r = 0; r < world; ++r) {
-      CopySpan(bufs[static_cast<size_t>(r)] + b, reduced.data() + b, e - b);
+      const int64_t len = step->dst.len;
+      DDPKIT_CHECK_EQ(theirs->src.len, len);
+      jobs.push_back({{StepKind::kCopy, -1, -1, {Region::kInput, 0, len},
+                       {Region::kData, 0, len}},
+                      {buffers[r].Write(step->dst),
+                       buffers[peer].Read(theirs->src)}});
+      sent[peer] = 1;
+      received[r] = 1;
     }
-  });
-}
-
-/// Tree: recursive-doubling reduction to rank 0 followed by a broadcast
-/// (NCCL 2.4's tree mode, cited by the paper [22]).
-template <typename T>
-void TreeAllReduce(ReduceOp op, const std::vector<T*>& bufs, int64_t n) {
-  const int world = static_cast<int>(bufs.size());
-  std::vector<std::vector<T>> acc(static_cast<size_t>(world));
-  for (int r = 0; r < world; ++r) {
-    acc[static_cast<size_t>(r)].resize(static_cast<size_t>(n));
-  }
-  ParallelFor(0, n, GrainFromCost(world), [&](int64_t b, int64_t e) {
-    for (int r = 0; r < world; ++r) {
-      CopySpan(acc[static_cast<size_t>(r)].data() + b,
-               bufs[static_cast<size_t>(r)] + b, e - b);
-    }
-  });
-  // Rounds stay sequential (each halving depends on the previous); within a
-  // round the (dst, src) pairs write disjoint buffers and each element keeps
-  // the recursive-doubling combine order.
-  for (int span = 1; span < world; span *= 2) {
-    std::vector<std::pair<T*, const T*>> pairs;
-    for (int r = 0; r + span < world; r += 2 * span) {
-      pairs.emplace_back(acc[static_cast<size_t>(r)].data(),
-                         acc[static_cast<size_t>(r + span)].data());
-    }
-    if (pairs.empty()) continue;
-    ParallelFor(0, n, GrainFromCost(static_cast<int64_t>(pairs.size())),
-                [&](int64_t b, int64_t e) {
-      for (auto& [dst, src] : pairs) {
-        CombineSpan(op, dst + b, src + b, e - b);
+    RunJobs(jobs, op);
+    bool progress = !jobs.empty();
+    bool finished = true;
+    for (size_t r = 0; r < world; ++r) {
+      const Step* step = current(r);
+      if (step == nullptr) continue;
+      finished = false;
+      if (is_local(step) || (sends(step) && !sent[r]) ||
+          (recvs(step) && !received[r])) {
+        continue;
       }
-    });
-  }
-  ParallelFor(0, n, GrainFromCost(world), [&](int64_t b, int64_t e) {
-    for (int r = 0; r < world; ++r) {
-      CopySpan(bufs[static_cast<size_t>(r)] + b, acc[0].data() + b, e - b);
+      sent[r] = 0;
+      received[r] = 0;
+      ++pc[r];
+      progress = true;
     }
+    if (finished) return;
+    for (;;) {
+      jobs.clear();
+      for (size_t r = 0; r < world; ++r) {
+        // This rank's next local steps, as long as they touch disjoint
+        // bytes (a chunked ring's per-chunk combines, packs, unpacks).
+        const size_t first = pc[r];
+        while (const Step* step = current(r)) {
+          if (!is_local(step)) break;
+          bool independent = true;
+          for (size_t i = first; i < pc[r]; ++i) {
+            independent =
+                independent && Disjoint(schedules[r].steps[i], *step);
+          }
+          if (!independent) break;
+          jobs.push_back({*step, buffers[r]});
+          ++pc[r];
+        }
+      }
+      if (jobs.empty()) break;
+      RunJobs(jobs, op);
+      progress = true;
+    }
+    DDPKIT_CHECK(progress) << "collective schedule deadlocked";
+  }
+}
+
+/// Runs `p` (numel in elements of `dtype`) over per-rank tensors; an
+/// undefined data tensor is a rank whose data the collective never touches.
+void RunTensors(ScheduleParams p, ReduceOp op, DType dtype,
+                const std::vector<Tensor>& data,
+                const std::vector<Tensor>& inputs) {
+  p.world = static_cast<int>(std::max(data.size(), inputs.size()));
+  if (!Reduces(p.kind)) p.numel *= static_cast<int64_t>(ItemSize(dtype));
+  p.fp32_accumulate = dtype == DType::kFloat16;
+  VisitElementType(p.kind, dtype, [&](auto tag) {
+    using T = decltype(tag);
+    std::vector<T*> out;
+    for (const Tensor& t : data) {
+      out.push_back(t.defined() ? const_cast<Tensor&>(t).data<T>() : nullptr);
+    }
+    std::vector<const T*> in;
+    for (const Tensor& t : inputs) in.push_back(t.data<T>());
+    Execute<T>(p, op, out, in);
   });
 }
 
-/// Recursive halving-doubling (the MPICH/Rabenseifner pattern): fold any
-/// ranks beyond the leading power of two into it, recursive-halving
-/// reduce-scatter (partner distance and owned segment both halve each
-/// round), recursive-doubling all-gather (the exact reverse), then fan the
-/// result back out to the folded ranks. Every element is reduced along a
-/// fixed binary tree over ranks, so the combine order depends only on
-/// (world, n) and each element is finalized by exactly one owner — all
-/// ranks end bit-identical by construction.
-template <typename T>
-void HalvingDoublingAllReduce(ReduceOp op, const std::vector<T*>& bufs,
-                              int64_t n) {
-  const int world = static_cast<int>(bufs.size());
-  int pof2 = 1;
-  while (pof2 * 2 <= world) pof2 *= 2;
-  const int rem = world - pof2;
-
-  // Fold: odd ranks below 2*rem combine into their even neighbor, which
-  // then represents both in the power-of-two phase.
-  for (int r = 0; r < rem; ++r) {
-    T* dst = bufs[static_cast<size_t>(2 * r)];
-    const T* src = bufs[static_cast<size_t>(2 * r + 1)];
-    ParallelFor(0, n, GrainFromCost(2), [&](int64_t b, int64_t e) {
-      CombineSpan(op, dst + b, src + b, e - b);
-    });
-  }
-  // Participant p's global rank: even survivors first, then the tail.
-  auto part_rank = [&](int p) { return p < rem ? 2 * p : p + rem; };
-
-  std::vector<int64_t> beg(static_cast<size_t>(pof2), 0);
-  std::vector<int64_t> end(static_cast<size_t>(pof2), n);
-
-  // Recursive halving. Pair members share a segment by induction (their
-  // higher mask bits match, so every earlier keep-low/keep-high decision
-  // matched); the keeper combines its own value with the partner's.
-  for (int mask = pof2 / 2; mask >= 1; mask /= 2) {
-    for (int p = 0; p < pof2; ++p) {
-      const int q = p ^ mask;
-      if (q < p) continue;
-      T* lo = bufs[static_cast<size_t>(part_rank(p))];
-      T* hi = bufs[static_cast<size_t>(part_rank(q))];
-      const int64_t b = beg[static_cast<size_t>(p)];
-      const int64_t e = end[static_cast<size_t>(p)];
-      const int64_t mid = b + (e - b) / 2;
-      // Writes are confined to each keeper's half, so hi's read of
-      // lo[mid, e) and lo's read of hi[b, mid) see pre-round values.
-      ParallelFor(b, mid, GrainFromCost(2), [&](int64_t s, int64_t t) {
-        CombineSpan(op, lo + s, hi + s, t - s);
-      });
-      ParallelFor(mid, e, GrainFromCost(2), [&](int64_t s, int64_t t) {
-        CombineSpan(op, hi + s, lo + s, t - s);
-      });
-      end[static_cast<size_t>(p)] = mid;
-      beg[static_cast<size_t>(q)] = mid;
-    }
-  }
-
-  // Recursive doubling: reverse the splits, exchanging adjacent segments.
-  for (int mask = 1; mask < pof2; mask *= 2) {
-    for (int p = 0; p < pof2; ++p) {
-      const int q = p ^ mask;
-      if (q < p) continue;
-      T* lo = bufs[static_cast<size_t>(part_rank(p))];
-      T* hi = bufs[static_cast<size_t>(part_rank(q))];
-      const int64_t pb = beg[static_cast<size_t>(p)];
-      const int64_t pe = end[static_cast<size_t>(p)];
-      const int64_t qb = beg[static_cast<size_t>(q)];
-      const int64_t qe = end[static_cast<size_t>(q)];
-      ParallelFor(pb, pe, kParallelGrain, [&](int64_t s, int64_t t) {
-        CopySpan(hi + s, lo + s, t - s);
-      });
-      ParallelFor(qb, qe, kParallelGrain, [&](int64_t s, int64_t t) {
-        CopySpan(lo + s, hi + s, t - s);
-      });
-      const int64_t nb = std::min(pb, qb);
-      const int64_t ne = std::max(pe, qe);
-      beg[static_cast<size_t>(p)] = beg[static_cast<size_t>(q)] = nb;
-      end[static_cast<size_t>(p)] = end[static_cast<size_t>(q)] = ne;
-    }
-  }
-
-  // Unfold: folded odd ranks copy the result from their even neighbor.
-  for (int r = 0; r < rem; ++r) {
-    T* dst = bufs[static_cast<size_t>(2 * r + 1)];
-    const T* src = bufs[static_cast<size_t>(2 * r)];
-    ParallelFor(0, n, kParallelGrain, [&](int64_t b, int64_t e) {
-      CopySpan(dst + b, src + b, e - b);
-    });
-  }
-}
-
-/// Hierarchical two-level (keyed off the topology's host boundaries, ranks
-/// host-major): each node reduces into its leader in ascending rank order
-/// (NVLink-tier traffic), leaders run a classic ring across nodes (the only
-/// NIC-tier traffic: 2*(nodes-1)/nodes of the bytes instead of
-/// 2*(world-1)/world), then each leader broadcasts inside its node. A
-/// single-node world degenerates to exactly the kNaive combine order.
-template <typename T>
-void HierarchicalAllReduce(ReduceOp op, const std::vector<T*>& bufs,
-                           int64_t n, int ranks_per_node) {
-  const int world = static_cast<int>(bufs.size());
-  if (ranks_per_node <= 0) ranks_per_node = sim::Topology().gpus_per_host();
-  const int nodes = (world + ranks_per_node - 1) / ranks_per_node;
-
-  std::vector<T*> leaders;
-  for (int node = 0; node < nodes; ++node) {
-    const int lo = node * ranks_per_node;
-    const int hi = std::min(world, lo + ranks_per_node);
-    T* leader = bufs[static_cast<size_t>(lo)];
-    for (int r = lo + 1; r < hi; ++r) {
-      const T* src = bufs[static_cast<size_t>(r)];
-      ParallelFor(0, n, GrainFromCost(2), [&](int64_t b, int64_t e) {
-        CombineSpan(op, leader + b, src + b, e - b);
-      });
-    }
-    leaders.push_back(leader);
-  }
-  if (leaders.size() > 1) {
-    RingAllReduce(op, leaders, n, /*chunks_per_rank=*/1);
-  }
-  for (int node = 0; node < nodes; ++node) {
-    const int lo = node * ranks_per_node;
-    const int hi = std::min(world, lo + ranks_per_node);
-    const T* leader = bufs[static_cast<size_t>(lo)];
-    for (int r = lo + 1; r < hi; ++r) {
-      T* dst = bufs[static_cast<size_t>(r)];
-      ParallelFor(0, n, kParallelGrain, [&](int64_t b, int64_t e) {
-        CopySpan(dst + b, leader + b, e - b);
-      });
-    }
-  }
-}
-
-template <typename T>
-void DispatchAllReduceRaw(Algorithm algorithm, ReduceOp op,
-                          const std::vector<T*>& bufs, int64_t n,
-                          int ranks_per_node) {
-  if (algorithm == Algorithm::kAuto) {
-    // Callers with a configured topology (ProcessGroupSim) resolve kAuto
-    // themselves; this standalone path selects against the testbed default.
-    algorithm = sim::SelectAllReduceAlgorithm(
-        static_cast<size_t>(n) * sizeof(T), static_cast<int>(bufs.size()),
-        sim::Topology());
-  }
-  switch (algorithm) {
-    case Algorithm::kNaive:
-      NaiveAllReduce<T>(op, bufs, n);
-      return;
-    case Algorithm::kRing:
-      RingAllReduce<T>(op, bufs, n, /*chunks_per_rank=*/1);
-      return;
-    case Algorithm::kTree:
-      TreeAllReduce<T>(op, bufs, n);
-      return;
-    case Algorithm::kRingChunked:
-      RingAllReduce<T>(op, bufs, n, sim::kRingChunksPerRank);
-      return;
-    case Algorithm::kHalvingDoubling:
-      HalvingDoublingAllReduce<T>(op, bufs, n);
-      return;
-    case Algorithm::kHierarchical:
-      HierarchicalAllReduce<T>(op, bufs, n, ranks_per_node);
-      return;
-    case Algorithm::kAuto:
-      break;  // resolved above
-  }
-  DDPKIT_CHECK(false) << "bad algorithm";
-}
-
-/// Half-precision all-reduce: accumulate in float (as GPU tensor cores do)
-/// in deterministic rank order, store back as half. Used by the gradient
-/// compression extension (paper §6.2.3). The half<->float conversion loops
-/// dominate, so all algorithm variants share this one rank-order path.
-void Fp16AllReduce(ReduceOp op, const std::vector<Tensor>& tensors) {
-  DDPKIT_CHECK(op == ReduceOp::kSum) << "fp16 all-reduce supports sum only";
-  const int world = static_cast<int>(tensors.size());
-  const int64_t n = tensors[0].numel();
-  std::vector<float> acc(static_cast<size_t>(n));
-  std::vector<const uint16_t*> srcs;
-  for (int r = 0; r < world; ++r) srcs.push_back(tensors[r].data<uint16_t>());
-  // Per-element fp32 accumulation in ascending rank order, then the half
-  // stores; both conversion loops are element-parallel.
-  ParallelFor(0, n, GrainFromCost(world), [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      float v = 0.0f;
-      // ddplint: allow(raw-elementwise-loop) half bits convert through
-      // fp32 per element; no packed fp16 arithmetic in the vec layer
-      for (const uint16_t* src : srcs) v += HalfBitsToFloat32(src[i]);
-      acc[i] = v;
-    }
-  });
-  ParallelFor(0, n, GrainFromCost(world), [&](int64_t b, int64_t e) {
-    for (int r = 0; r < world; ++r) {
-      uint16_t* dst = const_cast<Tensor&>(tensors[r]).data<uint16_t>();
-      // ddplint: allow(raw-elementwise-loop) half bits convert through
-      // fp32 per element; no packed fp16 arithmetic in the vec layer
-      for (int64_t i = b; i < e; ++i) dst[i] = Float32ToHalfBits(acc[i]);
-    }
-  });
-}
-
-template <typename T>
-std::vector<T*> GatherPointers(const std::vector<Tensor>& tensors) {
-  std::vector<T*> bufs;
-  bufs.reserve(tensors.size());
+void CheckSameShape(const std::vector<Tensor>& tensors, int64_t n,
+                    DType dtype) {
   for (const Tensor& t : tensors) {
-    bufs.push_back(const_cast<Tensor&>(t).data<T>());
+    DDPKIT_CHECK(t.is_contiguous());
+    DDPKIT_CHECK_EQ(t.numel(), n);
+    DDPKIT_CHECK(t.dtype() == dtype);
   }
-  return bufs;
 }
 
 }  // namespace
@@ -399,7 +222,15 @@ void RunAllReduceRaw(Algorithm algorithm, ReduceOp op,
   DDPKIT_CHECK(!bufs.empty());
   DDPKIT_CHECK(n >= 0);
   if (bufs.size() == 1 || n == 0) return;
-  DispatchAllReduceRaw<T>(algorithm, op, bufs, n, ranks_per_node);
+  const int world = static_cast<int>(bufs.size());
+  Execute<T>({.kind = Collective::kAllReduce,
+              .algorithm = sim::ResolveAllReduceAlgorithm(
+                  algorithm, static_cast<size_t>(n) * sizeof(T), world,
+                  sim::Topology()),
+              .world = world,
+              .numel = n,
+              .ranks_per_node = ranks_per_node},
+             op, bufs, {});
 }
 
 template void RunAllReduceRaw<float>(Algorithm, ReduceOp,
@@ -420,152 +251,82 @@ void RunAllReduce(Algorithm algorithm, ReduceOp op,
   DDPKIT_CHECK(!tensors.empty());
   const int64_t n = tensors[0].numel();
   const DType dtype = tensors[0].dtype();
-  for (const Tensor& t : tensors) {
-    DDPKIT_CHECK(t.is_contiguous());
-    DDPKIT_CHECK_EQ(t.numel(), n);
-    DDPKIT_CHECK(t.dtype() == dtype);
-  }
+  CheckSameShape(tensors, n, dtype);
+  DDPKIT_CHECK(dtype != DType::kFloat16 || op == ReduceOp::kSum)
+      << "fp16 all-reduce supports sum only";
   if (tensors.size() == 1 || n == 0) return;
-  switch (dtype) {
-    case DType::kFloat32:
-      DispatchAllReduceRaw<float>(algorithm, op, GatherPointers<float>(tensors),
-                                  n, ranks_per_node);
-      return;
-    case DType::kUInt8:
-      DispatchAllReduceRaw<uint8_t>(
-          algorithm, op, GatherPointers<uint8_t>(tensors), n, ranks_per_node);
-      return;
-    case DType::kInt64:
-      DispatchAllReduceRaw<int64_t>(
-          algorithm, op, GatherPointers<int64_t>(tensors), n, ranks_per_node);
-      return;
-    case DType::kFloat16:
-      Fp16AllReduce(op, tensors);
-      return;
-    default:
-      DDPKIT_CHECK(false) << "AllReduce unsupported dtype "
-                          << DTypeName(dtype);
-  }
+  const int world = static_cast<int>(tensors.size());
+  RunTensors({.kind = Collective::kAllReduce,
+              .algorithm = sim::ResolveAllReduceAlgorithm(
+                  algorithm, static_cast<size_t>(n) * ItemSize(dtype), world,
+                  sim::Topology()),
+              .numel = n,
+              .ranks_per_node = ranks_per_node},
+             op, dtype, tensors, {});
 }
 
 void RunBroadcast(const std::vector<Tensor>& tensors, int root) {
   DDPKIT_CHECK(!tensors.empty());
   DDPKIT_CHECK(root >= 0 && root < static_cast<int>(tensors.size()));
   const Tensor& src = tensors[static_cast<size_t>(root)];
-  for (size_t r = 0; r < tensors.size(); ++r) {
-    if (static_cast<int>(r) == root) continue;
-    const_cast<Tensor&>(tensors[r]).CopyFrom(src);
-  }
+  CheckSameShape(tensors, src.numel(), src.dtype());
+  RunTensors({.kind = Collective::kBroadcast, .numel = src.numel(),
+              .root = root},
+             ReduceOp::kSum, src.dtype(), tensors, {});
 }
-
-namespace {
-
-template <typename T>
-void ReduceInto(ReduceOp op, const std::vector<Tensor>& tensors,
-                Tensor* dest) {
-  const int64_t n = dest->numel();
-  T* acc = dest->data<T>();
-  std::vector<const T*> srcs;
-  for (const Tensor& t : tensors) {
-    if (t.id() == dest->id()) continue;
-    srcs.push_back(t.data<T>());
-  }
-  ParallelFor(0, n, GrainFromCost(static_cast<int64_t>(srcs.size()) + 1),
-              [&](int64_t b, int64_t e) {
-    for (const T* src : srcs) CombineSpan(op, acc + b, src + b, e - b);
-  });
-}
-
-}  // namespace
 
 void RunReduce(Algorithm /*algorithm*/, ReduceOp op,
                const std::vector<Tensor>& tensors, int root) {
   DDPKIT_CHECK(!tensors.empty());
   DDPKIT_CHECK(root >= 0 && root < static_cast<int>(tensors.size()));
-  Tensor dest = tensors[static_cast<size_t>(root)];
-  for (const Tensor& t : tensors) {
-    DDPKIT_CHECK(t.is_contiguous());
-    DDPKIT_CHECK_EQ(t.numel(), dest.numel());
-    DDPKIT_CHECK(t.dtype() == dest.dtype());
-  }
-  switch (dest.dtype()) {
-    case DType::kFloat32:
-      ReduceInto<float>(op, tensors, &dest);
-      return;
-    case DType::kUInt8:
-      ReduceInto<uint8_t>(op, tensors, &dest);
-      return;
-    case DType::kInt64:
-      ReduceInto<int64_t>(op, tensors, &dest);
-      return;
-    default:
-      DDPKIT_CHECK(false) << "Reduce unsupported dtype "
-                          << DTypeName(dest.dtype());
-  }
+  const Tensor& dest = tensors[static_cast<size_t>(root)];
+  CheckSameShape(tensors, dest.numel(), dest.dtype());
+  DDPKIT_CHECK(dest.dtype() != DType::kFloat16) << "Reduce of float16";
+  RunTensors({.kind = Collective::kReduce, .numel = dest.numel(),
+              .root = root},
+             op, dest.dtype(), tensors, {});
 }
 
 void RunReduceScatter(ReduceOp op, const std::vector<Tensor>& inputs,
                       const std::vector<Tensor>& outputs) {
   DDPKIT_CHECK(!inputs.empty());
   DDPKIT_CHECK_EQ(inputs.size(), outputs.size());
-  const int world = static_cast<int>(inputs.size());
+  const DType dtype = inputs[0].dtype();
   const int64_t chunk = outputs[0].numel();
-  for (int r = 0; r < world; ++r) {
-    DDPKIT_CHECK_EQ(inputs[static_cast<size_t>(r)].numel(), chunk * world);
-    DDPKIT_CHECK_EQ(outputs[static_cast<size_t>(r)].numel(), chunk);
-    DDPKIT_CHECK(inputs[static_cast<size_t>(r)].dtype() == DType::kFloat32)
-        << "ReduceScatter supports float32";
-  }
-  // Chunk c reduced in ring order starting at rank (c+1) % world, matching
-  // RingAllReduce's combine order; elements within a chunk are
-  // thread-partitioned without reordering any element's summation.
-  for (int c = 0; c < world; ++c) {
-    Tensor out = outputs[static_cast<size_t>(c)];
-    float* acc = out.data<float>();
-    const int first = (c + 1) % world;
-    const float* src0 =
-        inputs[static_cast<size_t>(first)].data<float>() + c * chunk;
-    ParallelFor(0, chunk, GrainFromCost(world), [&](int64_t b, int64_t e) {
-      CopySpan(acc + b, src0 + b, e - b);
-      for (int s = 2; s <= world; ++s) {
-        const float* src =
-            inputs[static_cast<size_t>((c + s) % world)].data<float>() +
-            c * chunk;
-        CombineSpan(op, acc + b, src + b, e - b);
-      }
-    });
-  }
+  CheckSameShape(inputs, chunk * static_cast<int64_t>(inputs.size()), dtype);
+  CheckSameShape(outputs, chunk, dtype);
+  DDPKIT_CHECK(dtype != DType::kFloat16) << "ReduceScatter of float16";
+  RunTensors({.kind = Collective::kReduceScatter, .numel = chunk}, op, dtype,
+             outputs, inputs);
 }
 
 void RunGather(const std::vector<Tensor>& inputs, Tensor output_root,
                int root) {
   DDPKIT_CHECK(!inputs.empty());
   DDPKIT_CHECK(root >= 0 && root < static_cast<int>(inputs.size()));
-  const int world = static_cast<int>(inputs.size());
-  const int64_t n = inputs[0].numel();
-  DDPKIT_CHECK_EQ(output_root.numel(), n * world);
-  for (int r = 0; r < world; ++r) {
-    output_root.Narrow(0, r * n, n)
-        .CopyFrom(inputs[static_cast<size_t>(r)].Flatten());
-  }
+  const Tensor& first = inputs[0];
+  CheckSameShape(inputs, first.numel(), first.dtype());
+  CheckSameShape({output_root},
+                 first.numel() * static_cast<int64_t>(inputs.size()),
+                 first.dtype());
+  std::vector<Tensor> outputs(inputs.size());
+  outputs[static_cast<size_t>(root)] = output_root;
+  RunTensors({.kind = Collective::kGather, .numel = first.numel(),
+              .root = root},
+             ReduceOp::kSum, first.dtype(), outputs, inputs);
 }
 
 void RunAllGather(const std::vector<Tensor>& inputs,
                   const std::vector<Tensor>& outputs) {
   DDPKIT_CHECK(!inputs.empty());
   DDPKIT_CHECK_EQ(inputs.size(), outputs.size());
-  const int world = static_cast<int>(inputs.size());
-  const int64_t n = inputs[0].numel();
-  for (const Tensor& out : outputs) {
-    DDPKIT_CHECK_EQ(out.numel(), n * world);
-  }
-  for (int q = 0; q < world; ++q) {
-    Tensor out = outputs[static_cast<size_t>(q)];
-    for (int r = 0; r < world; ++r) {
-      out.Narrow(0, r * n, n)
-          .CopyFrom(inputs[static_cast<size_t>(r)].Flatten());
-    }
-  }
+  const Tensor& first = inputs[0];
+  CheckSameShape(inputs, first.numel(), first.dtype());
+  CheckSameShape(outputs,
+                 first.numel() * static_cast<int64_t>(inputs.size()),
+                 first.dtype());
+  RunTensors({.kind = Collective::kAllGather, .numel = first.numel()},
+             ReduceOp::kSum, first.dtype(), outputs, inputs);
 }
 
 }  // namespace ddpkit::comm

@@ -5,29 +5,31 @@
 #include <vector>
 
 #include "comm/process_group.h"
-#include "sim/collective_algo.h"
+#include "comm/schedule.h"
 #include "tensor/tensor.h"
 
 namespace ddpkit::comm {
 
-/// Data-plane reduction algorithms. The paper (§2.3) notes that collective
-/// libraries implement sophisticated algorithms — ring-based (NCCL) and
-/// tree-based — rather than naive gather+reduce; the full zoo (naive, ring,
-/// tree, pipelined chunked ring, recursive halving-doubling, hierarchical
-/// two-level) is implemented here and selectable per process group.
+/// The in-memory executor: the Run* entry points below build every rank's
+/// schedule (comm/schedule.h) and walk them all in the calling thread,
+/// matching each send with its peer's receive and copying the message once,
+/// sender buffer to receiver buffer. ProcessGroupSim, the tests and the
+/// benches call them; ProcessGroupTcp walks the same schedules over
+/// sockets, so the two data planes share every combine order.
 ///
-/// The enum itself lives in the sim layer (sim::CollectiveAlgorithm) so the
-/// analytical cost models and this data plane key off the same type; see
-/// that header for each variant's canonical combine order. Each algorithm
-/// reproduces the *data movement pattern* (chunking and combine order) of
-/// its real counterpart, so floating-point results are bit-deterministic
-/// given the algorithm and world size.
-using Algorithm = sim::CollectiveAlgorithm;
+/// The algorithm zoo (naive, ring, tree, pipelined chunked ring, recursive
+/// halving-doubling, hierarchical two-level — paper §2.3's "sophisticated
+/// algorithms" of real collective libraries) is keyed by
+/// sim::CollectiveAlgorithm, so the analytical cost models and the data
+/// plane share one enum; see that header for each variant's canonical
+/// combine order. Floating-point results are bit-deterministic given the
+/// algorithm and world size.
 const char* AlgorithmName(Algorithm algorithm);
 
 /// In-place all-reduce across per-rank contributions: on return every
 /// tensor holds the elementwise reduction of all of them. Tensors must be
-/// contiguous, same numel, same dtype (float32, uint8, int64 or float16).
+/// contiguous, same numel, same dtype (float32, float64, int64, uint8, or
+/// float16 with kSum).
 ///
 /// `ranks_per_node` feeds kHierarchical's node boundaries (ranks are laid
 /// out host-major, matching sim::Topology); 0 means the testbed default of
@@ -56,13 +58,15 @@ void RunAllGather(const std::vector<Tensor>& inputs,
                   const std::vector<Tensor>& outputs);
 
 /// Reduces all contributions into tensors[root] only (other tensors are
-/// left untouched) — the first half of a tree all-reduce.
+/// left untouched): the root combines the others in ascending rank order.
+/// float32, float64, int64 or uint8.
 void RunReduce(Algorithm algorithm, ReduceOp op,
                const std::vector<Tensor>& tensors, int root);
 
 /// Ring reduce-scatter: inputs[r] has world*n elements; outputs[r] (n
 /// elements) receives the fully-reduced chunk r. This is literally the
 /// first phase of the ring all-reduce (paper §2.3), exposed on its own.
+/// Same dtypes as Reduce.
 void RunReduceScatter(ReduceOp op, const std::vector<Tensor>& inputs,
                       const std::vector<Tensor>& outputs);
 

@@ -14,40 +14,10 @@ namespace ddpkit::comm {
 
 namespace internal {
 
-enum class OpKind {
-  kAllReduce,
-  kBroadcast,
-  kAllGather,
-  kReduce,
-  kReduceScatter,
-  kGather,
-  kBarrier,
-};
-
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAllReduce:
-      return "all_reduce";
-    case OpKind::kBroadcast:
-      return "broadcast";
-    case OpKind::kAllGather:
-      return "all_gather";
-    case OpKind::kReduce:
-      return "reduce";
-    case OpKind::kReduceScatter:
-      return "reduce_scatter";
-    case OpKind::kGather:
-      return "gather";
-    case OpKind::kBarrier:
-      return "barrier";
-  }
-  return "unknown";
-}
-
 /// One in-flight collective, matched across ranks by per-rank sequence
 /// number (all ranks must issue collectives in the same order — §3.3).
 struct CollectiveInstance {
-  OpKind kind;
+  Collective kind;
   ReduceOp op = ReduceOp::kSum;
   int root = 0;
   int64_t numel = 0;
@@ -144,8 +114,6 @@ class GroupRegistry {
 
 using internal::CollectiveInstance;
 using internal::GroupState;
-using internal::OpKind;
-using internal::OpKindName;
 
 std::shared_ptr<ProcessGroupSim> ProcessGroupSim::Create(
     Store* store, const std::string& name, int rank, int world,
@@ -260,16 +228,16 @@ namespace {
 /// Pre-failed handle for a rank the fault plan keeps out of collective
 /// `seq`: its own call must surface an error too, not hang.
 WorkHandle AbsentRankWork(const FaultPlan& plan, GroupState* state,
-                          uint64_t seq, int rank, OpKind kind,
+                          uint64_t seq, int rank, Collective kind,
                           sim::VirtualClock* clock) {
   auto work = std::make_shared<Work>();
   std::ostringstream msg;
   if (plan.IsCrashed(rank, seq)) {
-    msg << OpKindName(kind) << " seq " << seq << ": rank " << rank
+    msg << CollectiveName(kind) << " seq " << seq << ": rank " << rank
         << " crashed (fault plan, " << plan.AbsenceReason(rank, seq) << ")";
     work->MarkFailed(WorkError::kRankFailure, msg.str(), clock->Now());
   } else {
-    msg << OpKindName(kind) << " seq " << seq << " timed out after "
+    msg << CollectiveName(kind) << " seq " << seq << " timed out after "
         << state->collective_timeout << "s (virtual): rank " << rank
         << " " << plan.AbsenceReason(rank, seq);
     work->MarkFailed(WorkError::kTimeout, msg.str(),
@@ -278,18 +246,23 @@ WorkHandle AbsentRankWork(const FaultPlan& plan, GroupState* state,
   return work;
 }
 
-/// Pre-failed handle for a locally invalid collective call — the Status
-/// path of PR 2's failure model, where the c10d analogue throws on the
-/// calling rank before enqueueing anything. The call never joins the
+/// Pre-failed handle for a locally invalid collective call
+/// (CheckCollectiveArgs), or null when the call is valid — the Status path
+/// of the failure model (DESIGN.md §6), where the c10d analogue throws on
+/// the calling rank before enqueueing anything. The call never joins the
 /// group's sequence (no seq number is consumed), so a subsequent valid
 /// collective on this rank pairs with peers as a signature mismatch rather
 /// than silently corrupting the reduction.
-WorkHandle InvalidArgumentWork(OpKind kind, int rank, const std::string& detail,
-                               sim::VirtualClock* clock) {
+WorkHandle RejectInvalid(Collective kind, int world, int rank,
+                         const Tensor& data, const Tensor& input, int root,
+                         ReduceOp op, sim::VirtualClock* clock) {
+  const Status valid =
+      CheckCollectiveArgs(kind, world, rank, data, input, root, op);
+  if (valid.ok()) return nullptr;
   auto work = std::make_shared<Work>();
   std::ostringstream msg;
-  msg << OpKindName(kind) << ": rank " << rank
-      << " issued invalid collective arguments: " << detail;
+  msg << CollectiveName(kind) << ": rank " << rank
+      << " issued invalid collective arguments: " << valid.message();
   work->MarkFailed(WorkError::kShapeMismatch, msg.str(), clock->Now());
   return work;
 }
@@ -302,12 +275,12 @@ WorkHandle InvalidArgumentWork(OpKind kind, int rank, const std::string& detail,
 /// cross-rank signature mismatches fail the work instead of aborting.
 WorkHandle Contribute(
     GroupState* state, uint64_t seq, int rank, sim::VirtualClock* clock,
-    OpKind kind, ReduceOp op, int root, int64_t numel, DType dtype,
+    Collective kind, ReduceOp op, int root, int64_t numel, DType dtype,
     const Tensor* inplace, const Tensor* gather_in, const Tensor* gather_out,
     const std::function<double(const CollectiveInstance&, double start)>&
         duration_fn) {
   if (state->metrics != nullptr) {
-    state->metrics->counter(std::string("pg.ops.") + OpKindName(kind))
+    state->metrics->counter(std::string("pg.ops.") + CollectiveName(kind))
         .Increment();
     state->metrics->counter("pg.bytes_contributed")
         .Increment(static_cast<uint64_t>(numel) *
@@ -339,7 +312,7 @@ WorkHandle Contribute(
     if (state->superseded_by != 0) {
       auto work = std::make_shared<Work>();
       std::ostringstream msg;
-      msg << OpKindName(kind) << " seq " << seq << ": rank " << rank
+      msg << CollectiveName(kind) << " seq " << seq << ": rank " << rank
           << " issued a collective on group generation " << state->generation
           << ", which was superseded by generation " << state->superseded_by
           << " (" << state->abort_reason << ")";
@@ -373,10 +346,10 @@ WorkHandle Contribute(
           inst->numel != numel || inst->dtype != dtype) {
         std::ostringstream msg;
         msg << "collective signatures diverged at seq " << seq << ": rank "
-            << rank << " issued " << OpKindName(kind) << " (numel " << numel
+            << rank << " issued " << CollectiveName(kind) << " (numel " << numel
             << ", root " << root << ", op " << ReduceOpName(op)
             << ") but an earlier participant issued "
-            << OpKindName(inst->kind) << " (numel " << inst->numel
+            << CollectiveName(inst->kind) << " (numel " << inst->numel
             << ", root " << inst->root << ", op " << ReduceOpName(inst->op)
             << ")";
         inst->work->MarkFailed(WorkError::kShapeMismatch, msg.str(),
@@ -409,7 +382,7 @@ WorkHandle Contribute(
       const std::vector<int> absent = plan->AbsentRanks(seq, state->world);
       bool any_crashed = false;
       std::ostringstream msg;
-      msg << OpKindName(kind) << " seq " << seq << " timed out after "
+      msg << CollectiveName(kind) << " seq " << seq << " timed out after "
           << state->collective_timeout << "s (virtual) waiting for";
       for (int r : absent) {
         msg << " rank " << r << " (" << plan->AbsenceReason(r, seq) << ")";
@@ -431,7 +404,7 @@ WorkHandle Contribute(
 
     // Data plane (real reduction), executed once by the last arrival.
     switch (inst->kind) {
-      case OpKind::kAllReduce: {
+      case Collective::kAllReduce: {
         // Resolve kAuto against this group's actual topology (message size
         // x world size x host layout), and tell the data plane where the
         // node boundaries are so kHierarchical reduces intra-host first.
@@ -451,25 +424,25 @@ WorkHandle Contribute(
         RunAllReduce(algo, inst->op, inst->tensors, topo.gpus_per_host());
         break;
       }
-      case OpKind::kBroadcast:
+      case Collective::kBroadcast:
         RunBroadcast(inst->tensors, inst->root);
         break;
-      case OpKind::kAllGather:
+      case Collective::kAllGather:
         RunAllGather(inst->gather_inputs, inst->gather_outputs);
         break;
-      case OpKind::kReduce:
+      case Collective::kReduce:
         RunReduce(state->algorithm, inst->op, inst->tensors, inst->root);
         break;
-      case OpKind::kReduceScatter:
+      case Collective::kReduceScatter:
         RunReduceScatter(inst->op, inst->gather_inputs,
                          inst->gather_outputs);
         break;
-      case OpKind::kGather:
+      case Collective::kGather:
         RunGather(inst->gather_inputs,
                   inst->gather_outputs[static_cast<size_t>(inst->root)],
                   inst->root);
         break;
-      case OpKind::kBarrier:
+      case Collective::kBarrier:
         break;
     }
     // Time plane: start when the last participant arrived AND the comm
@@ -512,17 +485,16 @@ WorkHandle Contribute(
 }  // namespace
 
 WorkHandle ProcessGroupSim::AllReduce(Tensor tensor, ReduceOp op) {
-  if (!tensor.defined() || !tensor.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kAllReduce, rank(),
-                               "tensor must be defined and contiguous",
-                               clock_);
+  if (WorkHandle bad = RejectInvalid(Collective::kAllReduce, world(), rank(),
+                                     tensor, Tensor(), 0, op, clock_)) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = tensor.nbytes();
   const int w = world();
   const int groups = options_.concurrent_groups;
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kAllReduce, op,
+      state, next_seq_++, rank(), clock_, Collective::kAllReduce, op,
       /*root=*/0, tensor.numel(), tensor.dtype(), &tensor, nullptr, nullptr,
       [state, bytes, w, groups](const CollectiveInstance&, double) {
         return state->cost_model->AllReduceSeconds(bytes, w, groups,
@@ -531,21 +503,16 @@ WorkHandle ProcessGroupSim::AllReduce(Tensor tensor, ReduceOp op) {
 }
 
 WorkHandle ProcessGroupSim::Broadcast(Tensor tensor, int root) {
-  if (!tensor.defined() || !tensor.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kBroadcast, rank(),
-                               "tensor must be defined and contiguous",
-                               clock_);
-  }
-  if (root < 0 || root >= world()) {
-    return InvalidArgumentWork(
-        OpKind::kBroadcast, rank(),
-        "root " + std::to_string(root) + " outside [0, world)", clock_);
+  if (WorkHandle bad =
+          RejectInvalid(Collective::kBroadcast, world(), rank(), tensor,
+                        Tensor(), root, ReduceOp::kSum, clock_)) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = tensor.nbytes();
   const int w = world();
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kBroadcast,
+      state, next_seq_++, rank(), clock_, Collective::kBroadcast,
       ReduceOp::kSum, root, tensor.numel(), tensor.dtype(), &tensor, nullptr,
       nullptr, [state, bytes, w](const CollectiveInstance&, double) {
         return state->cost_model->BroadcastSeconds(bytes, w);
@@ -553,25 +520,16 @@ WorkHandle ProcessGroupSim::Broadcast(Tensor tensor, int root) {
 }
 
 WorkHandle ProcessGroupSim::AllGather(const Tensor& input, Tensor output) {
-  if (!input.defined() || !input.is_contiguous() || !output.defined() ||
-      !output.is_contiguous()) {
-    return InvalidArgumentWork(
-        OpKind::kAllGather, rank(),
-        "input and output must be defined and contiguous", clock_);
-  }
-  if (output.numel() != input.numel() * world()) {
-    return InvalidArgumentWork(
-        OpKind::kAllGather, rank(),
-        "output numel " + std::to_string(output.numel()) +
-            " != input numel * world (" +
-            std::to_string(input.numel() * world()) + ")",
-        clock_);
+  if (WorkHandle bad =
+          RejectInvalid(Collective::kAllGather, world(), rank(), output,
+                        input, 0, ReduceOp::kSum, clock_)) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = input.nbytes();
   const int w = world();
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kAllGather,
+      state, next_seq_++, rank(), clock_, Collective::kAllGather,
       ReduceOp::kSum, /*root=*/0, input.numel(), input.dtype(), nullptr,
       &input, &output, [state, bytes, w](const CollectiveInstance&, double) {
         return state->cost_model->AllGatherSeconds(bytes, w);
@@ -579,21 +537,15 @@ WorkHandle ProcessGroupSim::AllGather(const Tensor& input, Tensor output) {
 }
 
 WorkHandle ProcessGroupSim::Reduce(Tensor tensor, int root, ReduceOp op) {
-  if (!tensor.defined() || !tensor.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kReduce, rank(),
-                               "tensor must be defined and contiguous",
-                               clock_);
-  }
-  if (root < 0 || root >= world()) {
-    return InvalidArgumentWork(
-        OpKind::kReduce, rank(),
-        "root " + std::to_string(root) + " outside [0, world)", clock_);
+  if (WorkHandle bad = RejectInvalid(Collective::kReduce, world(), rank(),
+                                     tensor, Tensor(), root, op, clock_)) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = tensor.nbytes();
   const int w = world();
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kReduce, op, root,
+      state, next_seq_++, rank(), clock_, Collective::kReduce, op, root,
       tensor.numel(), tensor.dtype(), &tensor, nullptr, nullptr,
       [state, bytes, w](const CollectiveInstance&, double) {
         // A tree reduce mirrors a pipelined broadcast's cost profile.
@@ -603,26 +555,16 @@ WorkHandle ProcessGroupSim::Reduce(Tensor tensor, int root, ReduceOp op) {
 
 WorkHandle ProcessGroupSim::ReduceScatter(const Tensor& input, Tensor output,
                                           ReduceOp op) {
-  if (!input.defined() || !input.is_contiguous() || !output.defined() ||
-      !output.is_contiguous()) {
-    return InvalidArgumentWork(
-        OpKind::kReduceScatter, rank(),
-        "input and output must be defined and contiguous", clock_);
-  }
-  if (input.numel() != output.numel() * world()) {
-    return InvalidArgumentWork(
-        OpKind::kReduceScatter, rank(),
-        "input numel " + std::to_string(input.numel()) +
-            " != output numel * world (" +
-            std::to_string(output.numel() * world()) + ")",
-        clock_);
+  if (WorkHandle bad = RejectInvalid(Collective::kReduceScatter, world(),
+                                     rank(), output, input, 0, op, clock_)) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = input.nbytes();
   const int w = world();
   const int groups = options_.concurrent_groups;
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kReduceScatter, op,
+      state, next_seq_++, rank(), clock_, Collective::kReduceScatter, op,
       /*root=*/0, input.numel(), input.dtype(), nullptr, &input, &output,
       [state, bytes, w, groups](const CollectiveInstance&, double) {
         // Reduce-scatter is the first half of ring all-reduce: same step
@@ -633,35 +575,17 @@ WorkHandle ProcessGroupSim::ReduceScatter(const Tensor& input, Tensor output,
 
 WorkHandle ProcessGroupSim::Gather(const Tensor& input, Tensor output,
                                    int root) {
-  if (!input.defined() || !input.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kGather, rank(),
-                               "input must be defined and contiguous", clock_);
-  }
-  if (root < 0 || root >= world()) {
-    return InvalidArgumentWork(
-        OpKind::kGather, rank(),
-        "root " + std::to_string(root) + " outside [0, world)", clock_);
-  }
-  if (rank() == root) {
-    if (!output.defined()) {
-      return InvalidArgumentWork(OpKind::kGather, rank(),
-                                 "root output must be defined", clock_);
-    }
-    if (output.numel() != input.numel() * world()) {
-      return InvalidArgumentWork(
-          OpKind::kGather, rank(),
-          "root output numel " + std::to_string(output.numel()) +
-              " != input numel * world (" +
-              std::to_string(input.numel() * world()) + ")",
-          clock_);
-    }
+  if (WorkHandle bad =
+          RejectInvalid(Collective::kGather, world(), rank(), output, input,
+                        root, ReduceOp::kSum, clock_)) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = input.nbytes();
   const int w = world();
   const Tensor* out_ptr = rank() == root ? &output : nullptr;
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kGather,
+      state, next_seq_++, rank(), clock_, Collective::kGather,
       ReduceOp::kSum, root, input.numel(), input.dtype(), nullptr, &input,
       out_ptr, [state, bytes, w](const CollectiveInstance&, double) {
         // Root receives (w-1) payloads; same volume as all-gather's
@@ -674,7 +598,7 @@ void ProcessGroupSim::Barrier() {
   GroupState* state = state_.get();
   const int w = world();
   WorkHandle work = Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kBarrier,
+      state, next_seq_++, rank(), clock_, Collective::kBarrier,
       ReduceOp::kSum, /*root=*/0, 0, DType::kFloat32, nullptr, nullptr,
       nullptr, [state, w](const CollectiveInstance&, double) {
         return state->cost_model->BarrierSeconds(w);

@@ -8,13 +8,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <utility>
 
 #include "comm/net_socket.h"
+#include "comm/schedule.h"
 #include "comm/store_keys.h"
 #include "common/logging.h"
-#include "common/vec.h"
 #include "sim/collective_algo.h"
 #include "sim/topology.h"
 #include "tensor/dtype.h"
@@ -41,74 +42,6 @@ constexpr uint32_t kHeaderMagic = 0xDD9C0002;
 /// bytes into payloads).
 constexpr uint32_t kChannelData = 0;
 constexpr uint32_t kChannelHeartbeat = 1;
-
-/// Collective kinds for the wire header.
-enum OpKind : uint8_t {
-  kKindAllReduce = 1,
-  kKindBroadcast = 2,
-  kKindAllGather = 3,
-  kKindReduce = 4,
-  kKindReduceScatter = 5,
-  kKindGather = 6,
-  kKindBarrier = 7,
-};
-
-const char* OpKindName(uint8_t kind) {
-  switch (kind) {
-    case kKindAllReduce:
-      return "allreduce";
-    case kKindBroadcast:
-      return "broadcast";
-    case kKindAllGather:
-      return "allgather";
-    case kKindReduce:
-      return "reduce";
-    case kKindReduceScatter:
-      return "reduce_scatter";
-    case kKindGather:
-      return "gather";
-    case kKindBarrier:
-      return "barrier";
-  }
-  return "?";
-}
-
-template <typename T>
-T Combine(ReduceOp op, T a, T b) {
-  switch (op) {
-    case ReduceOp::kSum:
-      return static_cast<T>(a + b);
-    case ReduceOp::kMax:
-      return a > b ? a : b;
-    case ReduceOp::kBor:
-      if constexpr (std::is_integral_v<T>) {
-        return static_cast<T>(a | b);
-      } else {
-        return (a != 0 || b != 0) ? T{1} : T{0};
-      }
-  }
-  return a;
-}
-
-/// Elementwise `dst = Combine(dst, src)` with the exact operand order and
-/// SIMD dispatch of comm/algorithms.cc's CombineSpan — the wire schedules
-/// below must produce bit-identical floats to the shared-memory zoo.
-template <typename T>
-void CombineSpan(ReduceOp op, T* dst, const T* src, int64_t len) {
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (op == ReduceOp::kSum) {
-      vec::AccumulateAdd(dst, src, len);
-      return;
-    }
-    if (op == ReduceOp::kMax) {
-      vec::AccumulateMax(dst, src, len);
-      return;
-    }
-  }
-  // ddplint: allow(raw-elementwise-loop) integer / kBor fallback; the vec
-  // layer covers the float and double sum/max hot paths above
-  for (int64_t i = 0; i < len; ++i) dst[i] = Combine(op, dst[i], src[i]);
-}
 
 /// Exchanged both ways on every fresh connection (connector first). The
 /// resume_seq field is the self-healing handshake: a supervisor re-mesh
@@ -174,10 +107,9 @@ using OpContext = ProcessGroupTcp::OpContext;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Wire schedules. Each replicates the combine order documented in
-// comm/algorithms.cc for its algorithm, with "own value" always on the
-// exact operand side the shared-memory loop uses. All I/O funnels through
-// SendTo/RecvFrom/Exchange so the fault shim sees every byte.
+// Socket executor. Walks this rank's schedule (comm/schedule.h); all I/O
+// funnels through SendTo/RecvFrom/Exchange so the fault shim sees every
+// byte, and the local steps are the in-memory executor's RunLocalStep.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -212,289 +144,38 @@ namespace {
                      rlen, ctx.deadline, ctx.abort_fd);
 }
 
-/// Naive: ascending-rank combine at rank 0, then a star broadcast —
-/// NaiveAllReduce's order exactly (acc = bufs[0], += bufs[1], bufs[2]...).
 template <typename T>
-Status NaiveAllReduceTcp(const OpContext& ctx, ReduceOp op, T* data,
-                         int64_t n) {
-  const size_t bytes = static_cast<size_t>(n) * sizeof(T);
-  if (ctx.rank == 0) {
-    std::vector<T> tmp(static_cast<size_t>(n));
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, q, tmp.data(), bytes));
-      CombineSpan(op, data, tmp.data(), n);
-    }
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, bytes));
-    }
-    return Status::OK();
-  }
-  DDPKIT_RETURN_IF_ERROR(SendTo(ctx, 0, data, bytes));
-  return RecvFrom(ctx, 0, data, bytes);
-}
-
-/// fp16: Fp16AllReduce's order — fp32 accumulation starting from 0.0f over
-/// ranks 0..world-1 ascending, at rank 0, then broadcast of the half bits.
-Status Fp16AllReduceTcp(const OpContext& ctx, ReduceOp op, uint16_t* data,
-                        int64_t n) {
-  if (op != ReduceOp::kSum) {
-    return Status::InvalidArgument("fp16 all-reduce supports sum only");
-  }
-  const size_t bytes = static_cast<size_t>(n) * sizeof(uint16_t);
-  if (ctx.rank == 0) {
-    std::vector<std::vector<uint16_t>> contributions(
-        static_cast<size_t>(ctx.world));
-    for (int q = 1; q < ctx.world; ++q) {
-      contributions[static_cast<size_t>(q)].resize(static_cast<size_t>(n));
-      DDPKIT_RETURN_IF_ERROR(RecvFrom(
-          ctx, q, contributions[static_cast<size_t>(q)].data(), bytes));
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      float v = 0.0f;
-      v += HalfBitsToFloat32(data[i]);  // rank 0's own contribution first
-      for (int q = 1; q < ctx.world; ++q) {
-        v += HalfBitsToFloat32(contributions[static_cast<size_t>(q)][i]);
-      }
-      data[i] = Float32ToHalfBits(v);
-    }
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, bytes));
-    }
-    return Status::OK();
-  }
-  DDPKIT_RETURN_IF_ERROR(SendTo(ctx, 0, data, bytes));
-  return RecvFrom(ctx, 0, data, bytes);
-}
-
-/// Two-phase ring (reduce-scatter + all-gather) with `chunks_per_rank`
-/// chunks in flight per rank — RingAllReduce's chunking and combine order:
-/// chunk k (owner k % world) accumulates rank (owner+1)'s value first,
-/// then each next ring rank combines its own value as the right operand,
-/// ending at the owner.
-template <typename T>
-Status RingAllReduceTcp(const OpContext& ctx, ReduceOp op, T* data, int64_t n,
-                        int chunks_per_rank) {
-  const int world = ctx.world;
-  const int rank = ctx.rank;
-  const int next = (rank + 1) % world;
-  const int prev = (rank + world - 1) % world;
-  const int num_chunks = world * chunks_per_rank;
-  const int64_t base = n / num_chunks;
-  const int64_t rem = n % num_chunks;
-  auto chunk_begin = [&](int c) {
-    return base * c + std::min<int64_t>(c, rem);
+[[nodiscard]] Status RunOnWire(const OpContext& ctx, const Schedule& schedule,
+                               ReduceOp op, T* data, const T* input) {
+  const auto scratch = std::make_unique_for_overwrite<T[]>(
+      static_cast<size_t>(schedule.scratch));
+  std::vector<float> accum(static_cast<size_t>(schedule.accum));
+  const RankBuffers<T> buffers{data, input, scratch.get(), accum.data()};
+  auto bytes = [](const Span& span) {
+    return static_cast<size_t>(span.len) * sizeof(T);
   };
-  auto chunk_size = [&](int c) { return base + (c < rem ? 1 : 0); };
-  // Owner o's chunks are o, o+world, o+2*world, ...
-  auto owner_bytes = [&](int o) {
-    int64_t total = 0;
-    for (int k = o; k < num_chunks; k += world) total += chunk_size(k);
-    return static_cast<size_t>(total) * sizeof(T);
-  };
-  auto pack = [&](int o, const T* src, T* stage) {
-    int64_t at = 0;
-    for (int k = o; k < num_chunks; k += world) {
-      std::memcpy(stage + at, src + chunk_begin(k),
-                  static_cast<size_t>(chunk_size(k)) * sizeof(T));
-      at += chunk_size(k);
+  for (const Step& step : schedule.steps) {
+    switch (step.kind) {
+      case StepKind::kSend:
+        DDPKIT_RETURN_IF_ERROR(SendTo(ctx, step.to, buffers.Read(step.src),
+                                      bytes(step.src)));
+        break;
+      case StepKind::kRecv:
+        DDPKIT_RETURN_IF_ERROR(RecvFrom(
+            ctx, step.from, buffers.Write(step.dst), bytes(step.dst)));
+        break;
+      case StepKind::kExchange:
+        DDPKIT_RETURN_IF_ERROR(Exchange(
+            ctx, step.to, buffers.Read(step.src), bytes(step.src), step.from,
+            buffers.Write(step.dst), bytes(step.dst)));
+        break;
+      case StepKind::kCombine:
+      case StepKind::kCopy:
+        RunLocalStep(step, op, buffers, 0, step.dst.len);
+        break;
     }
-  };
-  auto unpack = [&](int o, const T* stage, T* dst) {
-    int64_t at = 0;
-    for (int k = o; k < num_chunks; k += world) {
-      std::memcpy(dst + chunk_begin(k), stage + at,
-                  static_cast<size_t>(chunk_size(k)) * sizeof(T));
-      at += chunk_size(k);
-    }
-  };
-
-  const size_t max_stage =
-      static_cast<size_t>(base + 1) * static_cast<size_t>(chunks_per_rank);
-  std::vector<T> send_stage(max_stage);
-  std::vector<T> recv_stage(max_stage);
-
-  // Phase 1 — reduce-scatter. At step s this rank forwards the partial for
-  // owner (rank - s) and receives the partial for owner (rank - 1 - s),
-  // combining its own contribution as the right operand.
-  for (int s = 1; s < world; ++s) {
-    const int send_owner = (rank - s + world) % world;
-    const int recv_owner = (rank - 1 - s + 2 * world) % world;
-    if (s == 1) pack(send_owner, data, send_stage.data());
-    DDPKIT_RETURN_IF_ERROR(Exchange(ctx, next, send_stage.data(),
-                                    owner_bytes(send_owner), prev,
-                                    recv_stage.data(),
-                                    owner_bytes(recv_owner)));
-    int64_t at = 0;
-    for (int k = recv_owner; k < num_chunks; k += world) {
-      CombineSpan(op, recv_stage.data() + at, data + chunk_begin(k),
-                  chunk_size(k));
-      at += chunk_size(k);
-    }
-    send_stage.swap(recv_stage);  // forward what we just accumulated
-  }
-  // After world-1 steps the accumulated partial is for owner == rank and it
-  // is complete; install it.
-  unpack(rank, send_stage.data(), data);
-
-  // Phase 2 — all-gather rotation of the finalized owner chunks.
-  for (int s = 1; s < world; ++s) {
-    const int send_owner = (rank - s + 1 + world) % world;
-    const int recv_owner = (rank - s + world) % world;
-    pack(send_owner, data, send_stage.data());
-    DDPKIT_RETURN_IF_ERROR(Exchange(ctx, next, send_stage.data(),
-                                    owner_bytes(send_owner), prev,
-                                    recv_stage.data(),
-                                    owner_bytes(recv_owner)));
-    unpack(recv_owner, recv_stage.data(), data);
   }
   return Status::OK();
-}
-
-/// Recursive halving-doubling — HalvingDoublingAllReduce's exact fold /
-/// segment-split / unfold sequence. Every rank replays the sim's beg/end
-/// bookkeeping for all participants (identical inputs → identical
-/// schedules), then performs only its own exchanges.
-template <typename T>
-Status HalvingDoublingAllReduceTcp(const OpContext& ctx, ReduceOp op,
-                                   T* data, int64_t n) {
-  const int world = ctx.world;
-  const int rank = ctx.rank;
-  int pof2 = 1;
-  while (pof2 * 2 <= world) pof2 *= 2;
-  const int rem = world - pof2;
-  const size_t nbytes = static_cast<size_t>(n) * sizeof(T);
-
-  // Fold: odd ranks below 2*rem hand their contribution to the even
-  // neighbour (which combines it as the right operand) and sit out until
-  // the unfold.
-  if (rank < 2 * rem) {
-    if (rank % 2 == 1) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, rank - 1, data, nbytes));
-      return RecvFrom(ctx, rank - 1, data, nbytes);  // unfold
-    }
-    std::vector<T> tmp(static_cast<size_t>(n));
-    DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, rank + 1, tmp.data(), nbytes));
-    CombineSpan(op, data, tmp.data(), n);
-  }
-  const int p = rank < 2 * rem ? rank / 2 : rank - rem;
-  auto part_rank = [&](int q) { return q < rem ? 2 * q : q + rem; };
-
-  std::vector<int64_t> beg(static_cast<size_t>(pof2), 0);
-  std::vector<int64_t> end(static_cast<size_t>(pof2), n);
-  std::vector<T> tmp(static_cast<size_t>(n));
-
-  // Recursive halving: keeper combines its own (pre-round) half with the
-  // partner's, own value on the left — exactly the sim's CombineSpan
-  // operand order for both the low and the high keeper.
-  for (int mask = pof2 / 2; mask >= 1; mask /= 2) {
-    for (int a = 0; a < pof2; ++a) {
-      const int b_part = a ^ mask;
-      if (b_part < a) continue;
-      const int64_t b = beg[static_cast<size_t>(a)];
-      const int64_t e = end[static_cast<size_t>(a)];
-      const int64_t mid = b + (e - b) / 2;
-      if (a == p || b_part == p) {
-        const int partner = part_rank(a == p ? b_part : a);
-        const bool low = a == p;  // keep [b, mid) if we're the low member
-        const int64_t keep_b = low ? b : mid;
-        const int64_t keep_len = low ? mid - b : e - mid;
-        const int64_t give_b = low ? mid : b;
-        const int64_t give_len = low ? e - mid : mid - b;
-        DDPKIT_RETURN_IF_ERROR(Exchange(
-            ctx, partner, data + give_b,
-            static_cast<size_t>(give_len) * sizeof(T), partner,
-            tmp.data() + keep_b, static_cast<size_t>(keep_len) * sizeof(T)));
-        CombineSpan(op, data + keep_b, tmp.data() + keep_b, keep_len);
-      }
-      end[static_cast<size_t>(a)] = mid;
-      beg[static_cast<size_t>(b_part)] = mid;
-    }
-  }
-
-  // Recursive doubling: adjacent segments swap back (pure copies, order
-  // free), segments merge in reverse.
-  for (int mask = 1; mask < pof2; mask *= 2) {
-    for (int a = 0; a < pof2; ++a) {
-      const int b_part = a ^ mask;
-      if (b_part < a) continue;
-      const int64_t pb = beg[static_cast<size_t>(a)];
-      const int64_t pe = end[static_cast<size_t>(a)];
-      const int64_t qb = beg[static_cast<size_t>(b_part)];
-      const int64_t qe = end[static_cast<size_t>(b_part)];
-      if (a == p || b_part == p) {
-        const int partner = part_rank(a == p ? b_part : a);
-        const bool low = a == p;
-        const int64_t send_b = low ? pb : qb;
-        const int64_t send_len = low ? pe - pb : qe - qb;
-        const int64_t recv_b = low ? qb : pb;
-        const int64_t recv_len = low ? qe - qb : pe - pb;
-        DDPKIT_RETURN_IF_ERROR(Exchange(
-            ctx, partner, data + send_b,
-            static_cast<size_t>(send_len) * sizeof(T), partner,
-            data + recv_b, static_cast<size_t>(recv_len) * sizeof(T)));
-      }
-      const int64_t nb = std::min(pb, qb);
-      const int64_t ne = std::max(pe, qe);
-      beg[static_cast<size_t>(a)] = beg[static_cast<size_t>(b_part)] = nb;
-      end[static_cast<size_t>(a)] = end[static_cast<size_t>(b_part)] = ne;
-    }
-  }
-
-  // Unfold: hand the full result back to the folded odd neighbour.
-  if (rank < 2 * rem) {
-    DDPKIT_RETURN_IF_ERROR(SendTo(ctx, rank + 1, data, nbytes));
-  }
-  return Status::OK();
-}
-
-/// Tree: recursive doubling reduce to rank 0 (receiver's own value on the
-/// left, matching TreeAllReduce), then a star broadcast (copies).
-template <typename T>
-Status TreeAllReduceTcp(const OpContext& ctx, ReduceOp op, T* data,
-                        int64_t n) {
-  const size_t nbytes = static_cast<size_t>(n) * sizeof(T);
-  std::vector<T> tmp(static_cast<size_t>(n));
-  for (int span = 1; span < ctx.world; span *= 2) {
-    if (ctx.rank % (2 * span) == 0) {
-      if (ctx.rank + span < ctx.world) {
-        DDPKIT_RETURN_IF_ERROR(
-            RecvFrom(ctx, ctx.rank + span, tmp.data(), nbytes));
-        CombineSpan(op, data, tmp.data(), n);
-      }
-    } else if (ctx.rank % (2 * span) == span) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, ctx.rank - span, data, nbytes));
-      break;  // contribution handed off; wait for the broadcast
-    }
-  }
-  if (ctx.rank == 0) {
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, nbytes));
-    }
-    return Status::OK();
-  }
-  return RecvFrom(ctx, 0, data, nbytes);
-}
-
-template <typename T>
-Status AllReduceTcp(const OpContext& ctx, Algorithm algorithm, ReduceOp op,
-                    T* data, int64_t n) {
-  if (ctx.world == 1 || n == 0) return Status::OK();
-  switch (algorithm) {
-    case Algorithm::kNaive:
-      return NaiveAllReduceTcp(ctx, op, data, n);
-    case Algorithm::kRing:
-      return RingAllReduceTcp(ctx, op, data, n, /*chunks_per_rank=*/1);
-    case Algorithm::kRingChunked:
-      return RingAllReduceTcp(ctx, op, data, n, sim::kRingChunksPerRank);
-    case Algorithm::kHalvingDoubling:
-      return HalvingDoublingAllReduceTcp(ctx, op, data, n);
-    case Algorithm::kTree:
-      return TreeAllReduceTcp(ctx, op, data, n);
-    default:
-      return Status::InvalidArgument(
-          std::string("algorithm not supported over TCP: ") +
-          AlgorithmName(algorithm));
-  }
 }
 
 }  // namespace
@@ -521,11 +202,6 @@ Result<std::shared_ptr<ProcessGroupTcp>> ProcessGroupTcp::Create(
   if (rank < 0 || world <= 0 || rank >= world) {
     return Status::InvalidArgument("bad rank/world: " + std::to_string(rank) +
                                    "/" + std::to_string(world));
-  }
-  if (options.algorithm == Algorithm::kHierarchical) {
-    return Status::InvalidArgument(
-        "kHierarchical needs a multi-host topology; the TCP backend is a "
-        "single-host mesh (use kRing/kRingChunked/kHalvingDoubling)");
   }
   if (options.fault_injector != nullptr &&
       options.fault_injector->self_rank() != rank) {
@@ -907,10 +583,9 @@ void ProcessGroupTcp::EmitEvent(const char* event,
 
 void ProcessGroupTcp::AbortGroup(uint64_t new_generation,
                                  const std::string& reason) {
-  uint64_t expected = 0;
-  if (!superseded_by_.compare_exchange_strong(expected, new_generation)) {
-    return;  // first abort wins
-  }
+  if (abort_claimed_.exchange(true)) return;  // first abort wins
+  abort_reason_ = reason;
+  superseded_by_.store(new_generation);  // publishes abort_reason_
   if (options_.metrics) {
     options_.metrics->counter("pg.group_aborts").Increment();
   }
@@ -920,7 +595,6 @@ void ProcessGroupTcp::AbortGroup(uint64_t new_generation,
   // mesh down so remote peers blocked on us see EOF, not a hang.
   const char wake = 'x';
   (void)!write(wake_wfd_, &wake, 1);
-  (void)reason;
   MutexLock lock(&mu_);
   for (int fd : peer_fds_) CloseFd(fd);
   std::fill(peer_fds_.begin(), peer_fds_.end(), -1);
@@ -1012,8 +686,8 @@ Status ProcessGroupTcp::ExchangeHeaders(const OpHeader& mine,
         std::string("collective signature mismatch with rank ") +
         std::to_string(prev) + ": " + field + " ours=" +
         std::to_string(ours) + " theirs=" + std::to_string(theirs) +
-        " (op " + OpKindName(mine.kind) + ", seq " +
-        std::to_string(mine.seq) + ")");
+        " (op " + CollectiveName(static_cast<Collective>(mine.kind)) +
+        ", seq " + std::to_string(mine.seq) + ")");
   };
   if (from_prev.magic != kHeaderMagic) {
     return Status::Internal("corrupt collective header from rank " +
@@ -1045,13 +719,49 @@ Status ProcessGroupTcp::ExchangeHeaders(const OpHeader& mine,
   return Status::OK();
 }
 
-template <typename Body>
-WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
-                                          int64_t numel, int root,
-                                          ReduceOp op,
-                                          std::vector<ByteSpan> payload,
-                                          Body body) {
+WorkHandle ProcessGroupTcp::Issue(Collective kind, const Tensor& data,
+                                   const Tensor& input, int root,
+                                   ReduceOp op) {
   auto work = std::make_shared<Work>();
+  const Status valid =
+      CheckCollectiveArgs(kind, world(), rank(), data, input, root, op);
+  if (!valid.ok()) {
+    // Rejected before issue, as in ProcessGroupSim: no sequence number is
+    // consumed and the group stays healthy.
+    work->MarkFailed(WorkError::kShapeMismatch,
+                     std::string(CollectiveName(kind)) + ": rank " +
+                         std::to_string(rank()) +
+                         " issued invalid collective arguments: " +
+                         valid.message(),
+                     clock_->Now());
+    return work;
+  }
+  // The header names the input's dtype and each rank's element count (the
+  // output chunk for reduce-scatter); a barrier's token is not payload.
+  const bool barrier = kind == Collective::kBarrier;
+  const Tensor& shape = input.defined() ? input : data;
+  const DType dtype = shape.dtype();
+  const int64_t numel =
+      kind == Collective::kReduceScatter ? data.numel() : shape.numel();
+  const bool has_root = kind == Collective::kBroadcast ||
+                        kind == Collective::kReduce ||
+                        kind == Collective::kGather;
+  const size_t bytes = static_cast<size_t>(numel) * ItemSize(dtype);
+  sim::Topology::Options topo;
+  if (options_.ranks_per_node > 0) {
+    topo.gpus_per_host = options_.ranks_per_node;
+  }
+  const Schedule schedule = MakeSchedule(
+      {.kind = kind,
+       .algorithm = sim::ResolveAllReduceAlgorithm(
+           options_.algorithm, bytes, world(), sim::Topology(topo)),
+       .world = world(),
+       .rank = rank(),
+       .numel = Reduces(kind) ? numel : static_cast<int64_t>(bytes),
+       .root = root,
+       .ranks_per_node = options_.ranks_per_node,
+       .fp32_accumulate = dtype == DType::kFloat16});
+
   const uint64_t seq = next_seq_.fetch_add(1);
   const double issue_clock = clock_->Now();
   const auto wall_start = SteadyClock::now();
@@ -1064,14 +774,13 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
   }
 
   if (options_.metrics) {
-    options_.metrics->counter(std::string("pg.ops.") + OpKindName(kind))
+    options_.metrics->counter(std::string("pg.ops.") + CollectiveName(kind))
         .Increment();
     // Same accounting as ProcessGroupSim: this rank's payload contribution
     // at issue time, so `pg.bytes_contributed` is backend-portable and the
     // compression hooks' wire-byte metrics cross-check against it.
     options_.metrics->counter("pg.bytes_contributed")
-        .Increment(static_cast<uint64_t>(numel) *
-                   ItemSize(static_cast<DType>(dtype_code)));
+        .Increment(barrier ? 0 : bytes);
   }
 
   MutexLock lock(&mu_);
@@ -1080,7 +789,8 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
     work->MarkFailed(WorkError::kInvalidGeneration,
                      "group generation " +
                          std::to_string(options_.generation) +
-                         " superseded by " + std::to_string(superseded),
+                         " superseded by " + std::to_string(superseded) +
+                         " (" + abort_reason_ + ")",
                      issue_clock);
     return work;
   }
@@ -1094,22 +804,20 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
 
   // Snapshot the bytes this collective mutates so a supervisor replay is
   // byte-transparent: every retry starts from the exact pre-op payload.
-  std::vector<std::vector<uint8_t>> snapshot;
-  if (supervised()) {
-    snapshot.reserve(payload.size());
-    for (const ByteSpan& span : payload) {
-      const uint8_t* p = static_cast<const uint8_t*>(span.first);
-      snapshot.emplace_back(p, p + span.second);
-    }
+  uint8_t* const out =
+      data.defined() ? const_cast<Tensor&>(data).data<uint8_t>() : nullptr;
+  std::vector<uint8_t> snapshot;
+  if (supervised() && out != nullptr) {
+    snapshot.assign(out, out + data.nbytes());
   }
 
   OpHeader header{kHeaderMagic,
-                  kind,
-                  dtype_code,
-                  static_cast<uint8_t>(op),
+                  static_cast<uint8_t>(kind),
+                  barrier ? uint8_t{0} : static_cast<uint8_t>(dtype),
+                  static_cast<uint8_t>(Reduces(kind) ? op : ReduceOp::kSum),
                   0,
-                  root,
-                  numel,
+                  has_root ? root : -1,
+                  barrier ? 0 : numel,
                   seq,
                   options_.generation};
   Status status;
@@ -1118,11 +826,8 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
     if (attempt > 0) {
       // Transient wire failure: restore the payload, back off, rebuild the
       // mesh at the same generation, and replay this same seq.
-      for (size_t i = 0; i < payload.size(); ++i) {
-        if (payload[i].second > 0) {
-          std::memcpy(payload[i].first, snapshot[i].data(),
-                      payload[i].second);
-        }
+      if (!snapshot.empty()) {
+        std::memcpy(out, snapshot.data(), snapshot.size());
       }
       // ddplint: allow(blocking-under-lock) reason: the backoff is bounded
       // (reconnect_backoff doubled at most max_reconnect_attempts times)
@@ -1148,7 +853,7 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
       }
       EmitEvent("pg.reconnect",
                 "seq=" + std::to_string(seq) + " attempt=" +
-                    std::to_string(attempt) + " op=" + OpKindName(kind));
+                    std::to_string(attempt) + " op=" + CollectiveName(kind));
     }
     OpContext ctx{&peer_fds_,
                   rank(),
@@ -1157,7 +862,14 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
                   wake_rfd_,
                   options_.fault_injector};
     status = ExchangeHeaders(header, ctx);
-    if (status.ok()) status = body(ctx);
+    if (status.ok()) {
+      status = VisitElementType(kind, dtype, [&](auto tag) {
+        using T = decltype(tag);
+        return RunOnWire<T>(
+            ctx, schedule, op, reinterpret_cast<T*>(out),
+            input.defined() ? input.data<T>() : nullptr);
+      });
+    }
     if (status.ok()) break;
     if (!supervised() || !IsTransientWire(status) ||
         attempt >= options_.max_reconnect_attempts ||
@@ -1194,10 +906,12 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
   if (error == WorkError::kInvalidGeneration) {
     const uint64_t new_gen = superseded_by_.load();
     work->MarkFailed(error,
-                     "collective " + std::string(OpKindName(kind)) + " seq " +
-                         std::to_string(seq) + " aborted: generation " +
+                     "collective " + std::string(CollectiveName(kind)) +
+                         " seq " + std::to_string(seq) +
+                         " aborted: generation " +
                          std::to_string(options_.generation) +
-                         " superseded by " + std::to_string(new_gen),
+                         " superseded by " + std::to_string(new_gen) + " (" +
+                         abort_reason_ + ")",
                      issue_clock + elapsed());
     return work;
   }
@@ -1209,8 +923,8 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
     options_.metrics->counter("pg.collectives_failed").Increment();
   }
   work->MarkFailed(error,
-                   "collective " + std::string(OpKindName(kind)) + " seq " +
-                       std::to_string(seq) + " failed (" +
+                   "collective " + std::string(CollectiveName(kind)) +
+                       " seq " + std::to_string(seq) + " failed (" +
                        status.message() + ")",
                    issue_clock + elapsed());
   return work;
@@ -1221,285 +935,37 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
 // ---------------------------------------------------------------------------
 
 WorkHandle ProcessGroupTcp::AllReduce(Tensor tensor, ReduceOp op) {
-  const int64_t n = tensor.numel();
-  const uint8_t dtype_code = static_cast<uint8_t>(tensor.dtype());
-  Algorithm algorithm = options_.algorithm;
-  if (algorithm == Algorithm::kAuto) {
-    sim::Topology::Options topo;
-    if (options_.ranks_per_node > 0) {
-      topo.gpus_per_host = options_.ranks_per_node;
-    }
-    algorithm = sim::SelectAllReduceAlgorithm(
-        static_cast<size_t>(n) * ItemSize(tensor.dtype()), world(),
-        sim::Topology(topo));
-    // The auto-selector may pick the two-level hierarchical layout; this
-    // backend's mesh is flat, so the chunked ring is its stand-in (same
-    // bandwidth-optimal class, deterministically chosen on every rank).
-    if (algorithm == Algorithm::kHierarchical) {
-      algorithm = Algorithm::kRingChunked;
-    }
-  }
-  std::vector<ByteSpan> payload;
-  if (tensor.is_contiguous() && n > 0) {
-    payload.push_back({tensor.data<uint8_t>(),
-                       static_cast<size_t>(tensor.nbytes())});
-  }
-  return RunCollective(
-      kKindAllReduce, dtype_code, n, /*root=*/-1, op, std::move(payload),
-      [&, algorithm](const OpContext& ctx) -> Status {
-        if (!tensor.is_contiguous()) {
-          return Status::InvalidArgument("AllReduce needs contiguous tensor");
-        }
-        switch (tensor.dtype()) {
-          case DType::kFloat32:
-            return AllReduceTcp(ctx, algorithm, op, tensor.data<float>(), n);
-          case DType::kUInt8:
-            return AllReduceTcp(ctx, algorithm, op, tensor.data<uint8_t>(),
-                                n);
-          case DType::kInt64:
-            return AllReduceTcp(ctx, algorithm, op, tensor.data<int64_t>(),
-                                n);
-          case DType::kFloat16:
-            return Fp16AllReduceTcp(ctx, op, tensor.data<uint16_t>(), n);
-          default:
-            return Status::InvalidArgument(
-                std::string("AllReduce unsupported dtype ") +
-                DTypeName(tensor.dtype()));
-        }
-      });
+  return Issue(Collective::kAllReduce, tensor, Tensor(), /*root=*/-1, op);
 }
 
 WorkHandle ProcessGroupTcp::Broadcast(Tensor tensor, int root) {
-  const int64_t n = tensor.numel();
-  const size_t bytes = static_cast<size_t>(n) * ItemSize(tensor.dtype());
-  std::vector<ByteSpan> payload;
-  if (tensor.is_contiguous() && n > 0) {
-    payload.push_back({tensor.data<uint8_t>(),
-                       static_cast<size_t>(tensor.nbytes())});
-  }
-  return RunCollective(
-      kKindBroadcast, static_cast<uint8_t>(tensor.dtype()), n, root,
-      ReduceOp::kSum, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (root < 0 || root >= ctx.world) {
-          return Status::InvalidArgument("bad broadcast root");
-        }
-        if (!tensor.is_contiguous()) {
-          return Status::InvalidArgument("Broadcast needs contiguous tensor");
-        }
-        if (ctx.world == 1 || bytes == 0) return Status::OK();
-        void* data = tensor.data<uint8_t>();
-        if (ctx.rank == root) {
-          for (int q = 0; q < ctx.world; ++q) {
-            if (q == root) continue;
-            DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, bytes));
-          }
-          return Status::OK();
-        }
-        return RecvFrom(ctx, root, data, bytes);
-      });
+  return Issue(Collective::kBroadcast, tensor, Tensor(), root, ReduceOp::kSum);
 }
 
 WorkHandle ProcessGroupTcp::AllGather(const Tensor& input, Tensor output) {
-  const int64_t n = input.numel();
-  const size_t block = static_cast<size_t>(n) * ItemSize(input.dtype());
-  std::vector<ByteSpan> payload;
-  if (output.is_contiguous() && output.numel() > 0) {
-    payload.push_back({output.data<uint8_t>(),
-                       static_cast<size_t>(output.nbytes())});
-  }
-  return RunCollective(
-      kKindAllGather, static_cast<uint8_t>(input.dtype()), n, /*root=*/-1,
-      ReduceOp::kSum, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (output.numel() != n * ctx.world) {
-          return Status::InvalidArgument("AllGather output size mismatch");
-        }
-        if (!input.is_contiguous() || !output.is_contiguous()) {
-          return Status::InvalidArgument("AllGather needs contiguous tensors");
-        }
-        uint8_t* out = output.data<uint8_t>();
-        std::memcpy(out + static_cast<size_t>(ctx.rank) * block,
-                    input.data<uint8_t>(), block);
-        if (ctx.world == 1 || block == 0) return Status::OK();
-        // Ring rotation: step s forwards the block received last step.
-        const int next = (ctx.rank + 1) % ctx.world;
-        const int prev = (ctx.rank + ctx.world - 1) % ctx.world;
-        for (int s = 1; s < ctx.world; ++s) {
-          const int send_block = (ctx.rank - s + 1 + ctx.world) % ctx.world;
-          const int recv_block = (ctx.rank - s + ctx.world) % ctx.world;
-          DDPKIT_RETURN_IF_ERROR(Exchange(
-              ctx, next, out + static_cast<size_t>(send_block) * block,
-              block, prev, out + static_cast<size_t>(recv_block) * block,
-              block));
-        }
-        return Status::OK();
-      });
+  return Issue(Collective::kAllGather, output, input, /*root=*/-1,
+               ReduceOp::kSum);
 }
 
 WorkHandle ProcessGroupTcp::Reduce(Tensor tensor, int root, ReduceOp op) {
-  const int64_t n = tensor.numel();
-  std::vector<ByteSpan> payload;
-  if (tensor.is_contiguous() && n > 0) {
-    payload.push_back({tensor.data<uint8_t>(),
-                       static_cast<size_t>(tensor.nbytes())});
-  }
-  return RunCollective(
-      kKindReduce, static_cast<uint8_t>(tensor.dtype()), n, root, op,
-      std::move(payload), [&](const OpContext& ctx) -> Status {
-        if (root < 0 || root >= ctx.world) {
-          return Status::InvalidArgument("bad reduce root");
-        }
-        if (!tensor.is_contiguous()) {
-          return Status::InvalidArgument("Reduce needs contiguous tensor");
-        }
-        if (ctx.world == 1 || n == 0) return Status::OK();
-        // ReduceInto's order: root's tensor is the accumulator, sources
-        // combined in ascending rank order skipping the root.
-        auto run = [&](auto* data) -> Status {
-          using T = std::remove_pointer_t<decltype(data)>;
-          const size_t bytes = static_cast<size_t>(n) * sizeof(T);
-          if (ctx.rank != root) return SendTo(ctx, root, data, bytes);
-          std::vector<T> tmp(static_cast<size_t>(n));
-          for (int q = 0; q < ctx.world; ++q) {
-            if (q == root) continue;
-            DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, q, tmp.data(), bytes));
-            CombineSpan(op, data, tmp.data(), n);
-          }
-          return Status::OK();
-        };
-        switch (tensor.dtype()) {
-          case DType::kFloat32:
-            return run(tensor.data<float>());
-          case DType::kUInt8:
-            return run(tensor.data<uint8_t>());
-          case DType::kInt64:
-            return run(tensor.data<int64_t>());
-          default:
-            return Status::InvalidArgument(
-                std::string("Reduce unsupported dtype ") +
-                DTypeName(tensor.dtype()));
-        }
-      });
+  return Issue(Collective::kReduce, tensor, Tensor(), root, op);
 }
 
 WorkHandle ProcessGroupTcp::ReduceScatter(const Tensor& input, Tensor output,
                                           ReduceOp op) {
-  const int64_t chunk = output.numel();
-  std::vector<ByteSpan> payload;
-  if (output.is_contiguous() && chunk > 0) {
-    payload.push_back({output.data<uint8_t>(),
-                       static_cast<size_t>(output.nbytes())});
-  }
-  return RunCollective(
-      kKindReduceScatter, static_cast<uint8_t>(input.dtype()), chunk,
-      /*root=*/-1, op, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (input.dtype() != DType::kFloat32 ||
-            output.dtype() != DType::kFloat32) {
-          return Status::InvalidArgument("ReduceScatter supports float32");
-        }
-        if (input.numel() != chunk * ctx.world) {
-          return Status::InvalidArgument("ReduceScatter input size mismatch");
-        }
-        if (!input.is_contiguous() || !output.is_contiguous()) {
-          return Status::InvalidArgument(
-              "ReduceScatter needs contiguous tensors");
-        }
-        const float* in = input.data<float>();
-        float* out = output.data<float>();
-        if (ctx.world == 1) {
-          std::memcpy(out, in, static_cast<size_t>(chunk) * sizeof(float));
-          return Status::OK();
-        }
-        if (chunk == 0) return Status::OK();
-        // Exactly RunReduceScatter: chunk c accumulates from rank (c+1)
-        // around the ring, finishing at rank c — the ring's phase 1, with
-        // this rank's contribution combined as the right operand.
-        const size_t bytes = static_cast<size_t>(chunk) * sizeof(float);
-        const int next = (ctx.rank + 1) % ctx.world;
-        const int prev = (ctx.rank + ctx.world - 1) % ctx.world;
-        std::vector<float> send_stage(static_cast<size_t>(chunk));
-        std::vector<float> recv_stage(static_cast<size_t>(chunk));
-        for (int s = 1; s < ctx.world; ++s) {
-          const int send_chunk = (ctx.rank - s + ctx.world) % ctx.world;
-          const int recv_chunk =
-              (ctx.rank - 1 - s + 2 * ctx.world) % ctx.world;
-          if (s == 1) {
-            std::memcpy(send_stage.data(),
-                        in + static_cast<size_t>(send_chunk) * chunk, bytes);
-          }
-          DDPKIT_RETURN_IF_ERROR(Exchange(ctx, next, send_stage.data(),
-                                          bytes, prev, recv_stage.data(),
-                                          bytes));
-          CombineSpan(op, recv_stage.data(),
-                      in + static_cast<size_t>(recv_chunk) * chunk, chunk);
-          send_stage.swap(recv_stage);
-        }
-        std::memcpy(out, send_stage.data(), bytes);
-        return Status::OK();
-      });
+  return Issue(Collective::kReduceScatter, output, input, /*root=*/-1, op);
 }
 
 WorkHandle ProcessGroupTcp::Gather(const Tensor& input, Tensor output,
                                    int root) {
-  const int64_t n = input.numel();
-  const size_t block = static_cast<size_t>(n) * ItemSize(input.dtype());
-  std::vector<ByteSpan> payload;
-  if (output.is_contiguous() && output.numel() > 0) {
-    payload.push_back({output.data<uint8_t>(),
-                       static_cast<size_t>(output.nbytes())});
-  }
-  return RunCollective(
-      kKindGather, static_cast<uint8_t>(input.dtype()), n, root,
-      ReduceOp::kSum, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (root < 0 || root >= ctx.world) {
-          return Status::InvalidArgument("bad gather root");
-        }
-        if (!input.is_contiguous()) {
-          return Status::InvalidArgument("Gather needs contiguous input");
-        }
-        if (ctx.rank != root) {
-          if (ctx.world == 1) return Status::OK();
-          return SendTo(ctx, root, input.data<uint8_t>(), block);
-        }
-        if (output.numel() != n * ctx.world) {
-          return Status::InvalidArgument("Gather output size mismatch");
-        }
-        if (!output.is_contiguous()) {
-          return Status::InvalidArgument("Gather needs contiguous output");
-        }
-        uint8_t* out = output.data<uint8_t>();
-        std::memcpy(out + static_cast<size_t>(root) * block,
-                    input.data<uint8_t>(), block);
-        for (int q = 0; q < ctx.world; ++q) {
-          if (q == root) continue;
-          DDPKIT_RETURN_IF_ERROR(RecvFrom(
-              ctx, q, out + static_cast<size_t>(q) * block, block));
-        }
-        return Status::OK();
-      });
+  return Issue(Collective::kGather, rank() == root ? output : Tensor(), input,
+               root, ReduceOp::kSum);
 }
 
 void ProcessGroupTcp::Barrier() {
-  WorkHandle work = RunCollective(
-      kKindBarrier, 0, 0, /*root=*/-1, ReduceOp::kSum, {},
-      [&](const OpContext& ctx) -> Status {
-        if (ctx.world == 1) return Status::OK();
-        char token = 'b';
-        if (ctx.rank == 0) {
-          for (int q = 1; q < ctx.world; ++q) {
-            DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, q, &token, 1));
-          }
-          for (int q = 1; q < ctx.world; ++q) {
-            DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, &token, 1));
-          }
-          return Status::OK();
-        }
-        DDPKIT_RETURN_IF_ERROR(SendTo(ctx, 0, &token, 1));
-        return RecvFrom(ctx, 0, &token, 1);
-      });
+  const Tensor token = Tensor::Zeros({1}, DType::kUInt8);
+  WorkHandle work = Issue(Collective::kBarrier, token, Tensor(), /*root=*/-1,
+                          ReduceOp::kSum);
   // Barrier has no error channel; a wire failure is logged rather than
   // aborted on (kill -9 chaos must surface as typed errors on the ops that
   // carry Work handles, never as a raw abort in a drain-path barrier).

@@ -32,16 +32,18 @@ namespace ddpkit::comm {
 /// lower rank and accepts from every higher one, then keeps the full mesh
 /// cached for the group's lifetime.
 ///
-/// Data plane: the wire schedules replicate the algorithm zoo's combine
-/// orders *exactly* — same chunking, same per-element summation order as
-/// comm/algorithms.cc — so a TCP run is bit-identical to ProcessGroupSim
-/// on the same seed (the PR's cross-check gate). kRing/kRingChunked run
-/// the two-phase ring, kHalvingDoubling the Rabenseifner exchange, kTree
-/// recursive doubling to rank 0, kNaive the root star; kAuto resolves per
-/// collective through sim::SelectAllReduceAlgorithm. Collectives execute
-/// synchronously in the calling thread (localhost latencies make overlap
-/// machinery pure complexity here); the returned Work is already terminal
-/// and carries the typed verdict.
+/// Data plane: each collective runs this rank's steps of the one schedule
+/// comm/schedule.h generates for every backend — the same steps the
+/// in-memory executor (comm/algorithms.h) runs for ProcessGroupSim, local
+/// combines and copies included — so a TCP run is bit-identical to the sim
+/// on the same seed by construction. Every zoo algorithm runs here,
+/// kHierarchical with `ranks_per_node` emulating host boundaries on the
+/// one machine; kAuto resolves per collective through
+/// sim::ResolveAllReduceAlgorithm exactly as the sim does. Calls a backend
+/// cannot run (bad root, sizes, dtype x op) fail typed before issue, as in
+/// the sim. Collectives execute synchronously in the calling thread
+/// (localhost latencies make overlap machinery pure complexity here); the
+/// returned Work is already terminal and carries the typed verdict.
 ///
 /// Failure taxonomy, mapped from socket-layer Status:
 ///   deadline elapsed      → WorkError::kTimeout
@@ -117,8 +119,8 @@ class ProcessGroupTcp : public ProcessGroup {
   /// Rendezvous constructor: blocks until the full mesh is up, within the
   /// connect timeout. `store` and `clock` must outlive the group. Typed
   /// failures: kTimedOut when a peer never publishes/connects,
-  /// kInvalidArgument for an unsupported algorithm (kHierarchical needs a
-  /// multi-host topology this backend doesn't have).
+  /// kInvalidArgument for a bad rank/world or a fault injector bound to
+  /// another rank.
   [[nodiscard]] static Result<std::shared_ptr<ProcessGroupTcp>> Create(
       Store* store, const std::string& name, int rank, int world,
       const Options& options, sim::VirtualClock* clock);
@@ -161,18 +163,16 @@ class ProcessGroupTcp : public ProcessGroup {
 
   /// Per-collective wire header, exchanged with the ring neighbours before
   /// payload bytes move; disagreement is the typed kShapeMismatch arm.
-  /// Public only so the schedule implementations (free functions in the
-  /// .cc) can name it; defined there.
+  /// Public only so the socket executor (free functions in the .cc) can
+  /// name it; defined there.
   struct OpHeader;
-  /// Everything a schedule needs for one collective's I/O. Same deal.
+  /// Everything the socket executor needs for one collective's I/O. Same
+  /// deal.
   struct OpContext;
 
  private:
   ProcessGroupTcp(Store* store, std::string name, int rank, int world,
                   const Options& options, sim::VirtualClock* clock);
-
-  /// Mutated-byte span a collective must snapshot for replay.
-  using ByteSpan = std::pair<void*, size_t>;
 
   /// Builds the full mesh (listen, publish, connect/accept + HELLO) into
   /// `*data_fds` (+ `*hb_fds` when heartbeats are enabled), re-usable for
@@ -200,15 +200,15 @@ class ProcessGroupTcp : public ProcessGroup {
 
   void EmitEvent(const char* event, const std::string& detail);
 
-  /// Runs `body` as collective `kind`, wrapping it with the sequence-number
-  /// bump, the neighbour header exchange, wall-deadline setup, supervisor
-  /// retry (snapshotting `payload` so a replay starts from the original
-  /// bytes), error mapping, and Work termination.
-  template <typename Body>
-  [[nodiscard]] WorkHandle RunCollective(uint8_t kind, uint8_t dtype_code,
-                                         int64_t numel, int root, ReduceOp op,
-                                         std::vector<ByteSpan> payload,
-                                         Body body);
+  /// Runs collective `kind` over `data` (the in-place tensor or the
+  /// output) and `input` (the separate input, else undefined): checks the
+  /// call (a rejected call consumes no sequence number), builds this rank's
+  /// schedule, and runs it with the sequence-number bump, the neighbour
+  /// header exchange, wall-deadline setup, supervisor retry (snapshotting
+  /// `data` so a replay starts from the original bytes), error mapping,
+  /// and Work termination.
+  [[nodiscard]] WorkHandle Issue(Collective kind, const Tensor& data,
+                                 const Tensor& input, int root, ReduceOp op);
 
   [[nodiscard]] Status ExchangeHeaders(const OpHeader& mine,
                                        const OpContext& ctx);
@@ -245,6 +245,11 @@ class ProcessGroupTcp : public ProcessGroup {
   int sup_stop_wfd_ = -1;
   std::thread hb_thread_;
 
+  /// AbortGroup's first caller claims the abort, writes the reason, then
+  /// stores superseded_by_; a reader that sees superseded_by_ != 0 sees
+  /// the reason (the reason is written once, before that store).
+  std::atomic<bool> abort_claimed_{false};
+  std::string abort_reason_;
   std::atomic<uint64_t> superseded_by_{0};
   std::atomic<uint64_t> next_seq_{0};
   std::atomic<uint64_t> reconnects_{0};

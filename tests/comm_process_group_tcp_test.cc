@@ -631,5 +631,169 @@ TEST(ProcessGroupTcpSupervisorTest, HeartbeatMissesAreAsymmetric) {
   EXPECT_GE(misses[1], 1u) << "rank 1 must notice rank 0 went silent";
 }
 
+// --- one schedule, two executors ------------------------------------------
+
+// kHierarchical runs over TCP too, with ranks_per_node emulating host
+// boundaries on one machine, bit-exact against the in-memory executor.
+TEST(ProcessGroupTcpScheduleTest, HierarchicalBitExactVsSimZoo) {
+  const int64_t n = 193;
+  for (const int world : {5, 6}) {
+    for (const int ranks_per_node : {2, 3}) {
+      SCOPED_TRACE("world " + std::to_string(world) + " ranks_per_node " +
+                   std::to_string(ranks_per_node));
+      const auto inputs = MakeInputs(
+          world, n, 0x41e + static_cast<uint64_t>(world * 10 + ranks_per_node));
+      auto reference = inputs;
+      std::vector<float*> pointers;
+      for (auto& b : reference) pointers.push_back(b.data());
+      RunAllReduceRaw<float>(Algorithm::kHierarchical, ReduceOp::kSum,
+                             pointers, n, ranks_per_node);
+
+      ProcessGroupTcp::Options options;
+      options.algorithm = Algorithm::kHierarchical;
+      options.ranks_per_node = ranks_per_node;
+      std::vector<std::vector<float>> wire(static_cast<size_t>(world));
+      RunTcpWorld(world, options, [&](int rank, const Group& group) {
+        Tensor tensor = FromVec(inputs[static_cast<size_t>(rank)]);
+        WorkHandle work = group->AllReduce(tensor, ReduceOp::kSum);
+        ASSERT_TRUE(work->status().ok())
+            << "rank " << rank << ": " << work->status().ToString();
+        wire[static_cast<size_t>(rank)].assign(
+            tensor.data<float>(), tensor.data<float>() + tensor.numel());
+      });
+      for (int rank = 0; rank < world; ++rank) {
+        EXPECT_EQ(0, std::memcmp(reference[static_cast<size_t>(rank)].data(),
+                                 wire[static_cast<size_t>(rank)].data(),
+                                 static_cast<size_t>(n) * sizeof(float)))
+            << "rank " << rank;
+      }
+    }
+  }
+}
+
+// Above eight ranks kAuto picks kHierarchical for a large message on both
+// backends (the default topology puts eight ranks on a host).
+TEST(ProcessGroupTcpScheduleTest, AutoAboveEightRanksMatchesSim) {
+  const int world = 9;
+  const int64_t n = 70000;  // 280 KB: above the small-message cutoff
+  const auto inputs = MakeInputs(world, n, 0x9a);
+  auto reference = inputs;
+  std::vector<float*> pointers;
+  for (auto& b : reference) pointers.push_back(b.data());
+  RunAllReduceRaw<float>(Algorithm::kAuto, ReduceOp::kSum, pointers, n);
+
+  ProcessGroupTcp::Options options;
+  options.algorithm = Algorithm::kAuto;
+  std::vector<std::vector<float>> wire(static_cast<size_t>(world));
+  RunTcpWorld(world, options, [&](int rank, const Group& group) {
+    Tensor tensor = FromVec(inputs[static_cast<size_t>(rank)]);
+    WorkHandle work = group->AllReduce(tensor, ReduceOp::kSum);
+    ASSERT_TRUE(work->status().ok()) << work->status().ToString();
+    wire[static_cast<size_t>(rank)].assign(
+        tensor.data<float>(), tensor.data<float>() + tensor.numel());
+  });
+  for (int rank = 0; rank < world; ++rank) {
+    EXPECT_EQ(0, std::memcmp(reference[static_cast<size_t>(rank)].data(),
+                             wire[static_cast<size_t>(rank)].data(),
+                             static_cast<size_t>(n) * sizeof(float)))
+        << "rank " << rank;
+  }
+}
+
+// Calls the executors cannot run fail typed before issue: no sequence
+// number is consumed and the group stays healthy. float64 all-reduce and
+// int64 reduce-scatter, which the shared executor handles, now run.
+TEST(ProcessGroupTcpScheduleTest, UnsupportedCallsFailTypedBeforeIssue) {
+  const int world = 2;
+  const int64_t n = 33;
+  std::vector<std::vector<double>> doubles(static_cast<size_t>(world));
+  for (int r = 0; r < world; ++r) {
+    for (int64_t i = 0; i < n; ++i) {
+      doubles[static_cast<size_t>(r)].push_back((r + 1) * 0.1 * i + 1.0 / 3);
+    }
+  }
+  auto expected = doubles;
+  std::vector<double*> pointers;
+  for (auto& b : expected) pointers.push_back(b.data());
+  RunAllReduceRaw<double>(Algorithm::kRing, ReduceOp::kSum, pointers, n);
+
+  ProcessGroupTcp::Options options;
+  options.algorithm = Algorithm::kRing;
+  RunTcpWorld(world, options, [&](int rank, const Group& group) {
+    Tensor d = Tensor::Empty({n}, DType::kFloat64);
+    std::memcpy(d.data<double>(), doubles[static_cast<size_t>(rank)].data(),
+                static_cast<size_t>(n) * sizeof(double));
+    WorkHandle ok = group->AllReduce(d, ReduceOp::kSum);
+    ASSERT_TRUE(ok->status().ok()) << ok->status().ToString();
+    EXPECT_EQ(0, std::memcmp(expected[static_cast<size_t>(rank)].data(),
+                             d.data<double>(),
+                             static_cast<size_t>(n) * sizeof(double)));
+
+    Tensor half = Tensor::Zeros({8}, DType::kFloat16);
+    WorkHandle max = group->AllReduce(half, ReduceOp::kMax);
+    EXPECT_EQ(WorkError::kShapeMismatch, max->error())
+        << max->error_message();
+    if (rank == 0) {  // rank 1 never issues it: it must consume no seq
+      Tensor t = Tensor::Ones({4});
+      WorkHandle bad_root = group->Broadcast(t, /*root=*/5);
+      EXPECT_EQ(WorkError::kShapeMismatch, bad_root->error())
+          << bad_root->error_message();
+    }
+
+    Tensor in = FromVecInt64({1, 2, 3, 4});
+    Tensor out = Tensor::Zeros({2}, DType::kInt64);
+    WorkHandle scatter = group->ReduceScatter(in, out, ReduceOp::kSum);
+    ASSERT_TRUE(scatter->status().ok()) << scatter->status().ToString();
+    EXPECT_EQ(out.data<int64_t>()[0], 2 * (1 + 2 * rank));
+    EXPECT_EQ(out.data<int64_t>()[1], 2 * (2 + 2 * rank));
+
+    Tensor f = FromVec({static_cast<float>(rank + 1)});
+    WorkHandle after = group->AllReduce(f, ReduceOp::kSum);
+    ASSERT_TRUE(after->status().ok()) << after->status().ToString();
+    EXPECT_EQ(3.0f, f.data<float>()[0]);
+    EXPECT_EQ(3u, group->ops_issued());
+  });
+}
+
+// AbortGroup's reason reaches the in-flight collective's failure and every
+// later one, as in ProcessGroupSim.
+TEST(ProcessGroupTcpScheduleTest, AbortReasonReachesEveryLaterFailure) {
+  const std::string reason = "rank 3 declared dead by the test";
+  Store store;
+  ProcessGroupTcp::Options options;
+  options.collective_timeout_seconds = 30.0;
+  Latch ready(2);
+  Latch done(2);
+  Group groups[2];
+  std::thread ranks[2];
+  for (int rank = 0; rank < 2; ++rank) {
+    ranks[rank] = std::thread([&, rank] {
+      sim::VirtualClock clock;
+      Result<Group> group = ProcessGroupTcp::Create(&store, "abort_reason",
+                                                    rank, 2, options, &clock);
+      ASSERT_TRUE(group.ok()) << group.status().ToString();
+      groups[rank] = group.value();
+      ready.CountDown();
+      if (rank == 0) {
+        Tensor tensor = Tensor::Ones({16});
+        WorkHandle work = groups[0]->AllReduce(tensor, ReduceOp::kSum);
+        EXPECT_EQ(WorkError::kInvalidGeneration, work->error());
+        EXPECT_NE(std::string::npos, work->error_message().find(reason))
+            << work->error_message();
+        WorkHandle after = groups[0]->AllReduce(tensor, ReduceOp::kSum);
+        EXPECT_EQ(WorkError::kInvalidGeneration, after->error());
+        EXPECT_NE(std::string::npos, after->error_message().find(reason))
+            << after->error_message();
+      }
+      done.CountDown();
+      done.Wait();
+    });
+  }
+  ready.Wait();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  groups[0]->AbortGroup(1, reason);
+  for (auto& t : ranks) t.join();
+}
+
 }  // namespace
 }  // namespace ddpkit::comm
