@@ -405,6 +405,21 @@ void BM_Fp16Conversion(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp16Conversion)->Arg(1 << 16);
 
+void BM_TensorEmptyChurn(benchmark::State& state) {
+  // ResNetTiny's activation shapes, allocated and freed as each training
+  // step's op outputs are; items are allocations.
+  const std::vector<std::vector<int64_t>> shapes = {
+      {16, 8, 28, 28}, {16, 16, 14, 14}, {16, 16, 7, 7}};
+  for (auto _ : state) {
+    for (const std::vector<int64_t>& shape : shapes) {
+      benchmark::DoNotOptimize(Tensor::Empty(shape).data<float>());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(shapes.size()));
+}
+BENCHMARK(BM_TensorEmptyChurn);
+
 }  // namespace
 }  // namespace ddpkit
 

@@ -275,8 +275,7 @@ void RunBroadcast(const std::vector<Tensor>& tensors, int root) {
              ReduceOp::kSum, src.dtype(), tensors, {});
 }
 
-void RunReduce(Algorithm /*algorithm*/, ReduceOp op,
-               const std::vector<Tensor>& tensors, int root) {
+void RunReduce(ReduceOp op, const std::vector<Tensor>& tensors, int root) {
   DDPKIT_CHECK(!tensors.empty());
   DDPKIT_CHECK(root >= 0 && root < static_cast<int>(tensors.size()));
   const Tensor& dest = tensors[static_cast<size_t>(root)];

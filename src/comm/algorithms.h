@@ -58,10 +58,10 @@ void RunAllGather(const std::vector<Tensor>& inputs,
                   const std::vector<Tensor>& outputs);
 
 /// Reduces all contributions into tensors[root] only (other tensors are
-/// left untouched): the root combines the others in ascending rank order.
-/// float32, float64, int64 or uint8.
-void RunReduce(Algorithm algorithm, ReduceOp op,
-               const std::vector<Tensor>& tensors, int root);
+/// left untouched): the root combines the others in ascending rank order,
+/// on every backend and whatever all-reduce algorithm it is configured
+/// with. float32, float64, int64 or uint8.
+void RunReduce(ReduceOp op, const std::vector<Tensor>& tensors, int root);
 
 /// Ring reduce-scatter: inputs[r] has world*n elements; outputs[r] (n
 /// elements) receives the fully-reduced chunk r. This is literally the

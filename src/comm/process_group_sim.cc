@@ -431,7 +431,7 @@ WorkHandle Contribute(
         RunAllGather(inst->gather_inputs, inst->gather_outputs);
         break;
       case Collective::kReduce:
-        RunReduce(state->algorithm, inst->op, inst->tensors, inst->root);
+        RunReduce(inst->op, inst->tensors, inst->root);
         break;
       case Collective::kReduceScatter:
         RunReduceScatter(inst->op, inst->gather_inputs,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace ddpkit {
 
@@ -12,21 +11,30 @@ namespace ddpkit {
 /// (all memory is host RAM; the id drives bucket/parameter affinity checks,
 /// mirroring the paper's "buckets are created on the same device as the
 /// parameters").
+///
+/// The bytes start uninitialized. Blocks of at most kMaxCachedBlockBytes
+/// come from, and go back to, one process-wide free list keyed by exact
+/// byte size, so a training step that allocates the shapes the previous
+/// step freed reuses those blocks instead of faulting in fresh pages.
+/// Larger blocks go straight to malloc/free (DESIGN.md §10).
 class Storage {
  public:
-  /// Allocates `nbytes` of zero-initialized memory.
+  static constexpr size_t kMaxCachedBlockBytes = size_t{1} << 20;
+
+  /// Allocates `nbytes` of uninitialized memory.
   Storage(size_t nbytes, int device_id);
+  ~Storage();
 
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
 
-  uint8_t* data() { return data_.get(); }
-  const uint8_t* data() const { return data_.get(); }
+  uint8_t* data() { return data_; }
+  const uint8_t* data() const { return data_; }
   size_t nbytes() const { return nbytes_; }
   int device_id() const { return device_id_; }
 
  private:
-  std::unique_ptr<uint8_t[]> data_;
+  uint8_t* data_;
   size_t nbytes_;
   int device_id_;
 };

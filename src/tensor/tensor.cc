@@ -60,8 +60,9 @@ Tensor Tensor::Empty(std::vector<int64_t> shape, DType dtype, int device_id) {
 }
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape, DType dtype, int device_id) {
-  // Storage is zero-initialized by construction.
-  return Empty(std::move(shape), dtype, device_id);
+  Tensor t = Empty(std::move(shape), dtype, device_id);
+  t.Zero();
+  return t;
 }
 
 Tensor Tensor::Full(std::vector<int64_t> shape, double value, DType dtype,
@@ -309,6 +310,15 @@ void Tensor::CopyFrom(const Tensor& src) {
   }
   const int64_t n = numel();
   for (int64_t i = 0; i < n; ++i) FlatSet(i, src.FlatAt(i));
+}
+
+void Tensor::Zero() {
+  // Zero of every dtype is all-zero bits (+0.0f, +0.0, half +0, 0).
+  if (is_contiguous()) {
+    std::memset(data<uint8_t>(), 0, nbytes());
+    return;
+  }
+  Fill(0.0);
 }
 
 void Tensor::Fill(double value) {

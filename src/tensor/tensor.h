@@ -48,6 +48,9 @@ class Tensor {
   Tensor() = default;
 
   // ---- Factories -------------------------------------------------------
+  //
+  // Empty returns uninitialized memory: its caller must write every
+  // element. Zeros, Full, Ones and the other factories write them all.
 
   static Tensor Empty(std::vector<int64_t> shape, DType dtype = DType::kFloat32,
                       int device_id = 0);
@@ -127,7 +130,8 @@ class Tensor {
   /// Copies elementwise from `src` (same numel; dtype must match).
   void CopyFrom(const Tensor& src);
   void Fill(double value);
-  void Zero() { Fill(0.0); }
+  /// Fill(0.0); one memset on a contiguous tensor.
+  void Zero();
   Tensor Cast(DType dtype) const;
   Tensor Contiguous() const;
 

@@ -894,7 +894,7 @@ TEST(ScheduleCollectivesTest, ReduceAndReduceScatterMatchReference) {
               VisitElementType(Collective::kReduce, dtype, [&](auto tag) {
                 reference::ReduceInto<decltype(tag)>(op, want, &dest);
               });
-              RunReduce(Algorithm::kRing, op, got, root);
+              RunReduce(op, got, root);
               EXPECT_TRUE(SameBytes(want, got))
                   << "reduce root " << root << " op " << ReduceOpName(op);
             }

@@ -191,6 +191,10 @@ std::vector<SelfCase> Cases() {
       "po[i * n + j] = pa[i * n + j] + pbias[j];\n", 0, "");
   tok("comparison is not a store", "src/tensor/ops.cc",
       "if (row[j] > row[best]) best = j;\n", 0, "");
+  tok("aggregate assignment is not elementwise", "src/comm/algorithms.cc",
+      "buffers[r] = {data[r], bytes[r]};\n", 0, "");
+  tok("brace on a later operand still flags the store", "src/comm/x.cc",
+      "dst[i] = src[i] + T{1};\n", 1, "raw-elementwise-loop");
   tok("member subscripts are not bare", "src/tensor/ops.cc",
       "r.lane[i] = a.lane[i] + b.lane[i];\n", 0, "");
   tok("raw loop outside kernel dirs is fine", "src/optim/sgd.cc",

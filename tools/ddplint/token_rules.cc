@@ -148,8 +148,10 @@ bool ContainsBareSubscript(const std::string& code, size_t from) {
 /// True when the line stores through a bare subscript (`dst[i] =`,
 /// `dst[i] +=`, ...) and the assigned expression reads another bare
 /// subscript — the shape of a hand-rolled elementwise kernel. Scalar
-/// reductions (`acc += a[i] * b[i]`), scatters (`out[idx[i]] += g[i]`) and
-/// strided/compound addressing are all structurally excluded.
+/// reductions (`acc += a[i] * b[i]`), scatters (`out[idx[i]] += g[i]`),
+/// strided/compound addressing and aggregate assignments
+/// (`bufs[r] = {data[r], n};`, no loop the vec layer could run) are all
+/// structurally excluded.
 bool LineHasRawElementwiseLoop(const std::string& code) {
   for (size_t i = 0; i < code.size(); ++i) {
     if (!IsBareSubscriptStart(code, i)) continue;
@@ -159,6 +161,10 @@ bool LineHasRawElementwiseLoop(const std::string& code) {
     size_t rhs = std::string::npos;
     if (code[j] == '=' && (j + 1 >= code.size() || code[j + 1] != '=')) {
       rhs = j + 1;  // plain assignment (not ==)
+      while (rhs < code.size() && (code[rhs] == ' ' || code[rhs] == '\t')) {
+        ++rhs;
+      }
+      if (rhs < code.size() && code[rhs] == '{') continue;  // aggregate
     } else if ((code[j] == '+' || code[j] == '-' || code[j] == '*' ||
                 code[j] == '/') &&
                j + 1 < code.size() && code[j + 1] == '=') {
