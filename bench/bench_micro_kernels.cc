@@ -391,6 +391,69 @@ void BM_MatMulTransB(benchmark::State& state) {
 BENCHMARK(BM_MatMulTransB)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("m", 8);
 BENCHMARK(BM_MatMulTransB)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("m", 128);
 
+// ---------------------------------------------------------------------------
+// TransformerTiny's non-GEMM kernels at every dispatch level, at the
+// transformer-accum shapes: tanh (items = elements), GELU forward and
+// backward over one 128×128 feed-forward activation, and multi-head
+// attention forward plus backward over [16, 8, 64] with 4 heads (items =
+// elements of q).
+// ---------------------------------------------------------------------------
+
+void BM_VecTanh(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t n = state.range(1);
+  Rng rng(15);
+  const Tensor x = Tensor::Randn({n}, &rng);
+  std::vector<float> out(static_cast<size_t>(n));
+  for (auto _ : state) {
+    vec::Tanh(x.data<float>(), out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_VecTanh)->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+
+void BM_Gelu(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t side = state.range(1);
+  Rng rng(16);
+  const Tensor x = Tensor::Randn({side, side}, &rng);
+  for (auto _ : state) benchmark::DoNotOptimize(kernels::Gelu(x));
+  state.SetItemsProcessed(state.iterations() * side * side);
+}
+BENCHMARK(BM_Gelu)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("side", 128);
+
+void BM_GeluBackward(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t side = state.range(1);
+  Rng rng(17);
+  const Tensor x = Tensor::Randn({side, side}, &rng);
+  const Tensor g = Tensor::Randn({side, side}, &rng);
+  for (auto _ : state) benchmark::DoNotOptimize(kernels::GeluBackward(g, x));
+  state.SetItemsProcessed(state.iterations() * side * side);
+}
+BENCHMARK(BM_GeluBackward)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("side", 128);
+
+void BM_Attention(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t heads = state.range(1);
+  const std::vector<int64_t> shape = {16, 8, 64};
+  Rng rng(18);
+  const Tensor q = Tensor::Randn(shape, &rng);
+  const Tensor k = Tensor::Randn(shape, &rng);
+  const Tensor v = Tensor::Randn(shape, &rng);
+  const Tensor grad_out = Tensor::Randn(shape, &rng);
+  for (auto _ : state) {
+    Tensor probs;
+    benchmark::DoNotOptimize(kernels::Attention(q, k, v, heads, &probs));
+    benchmark::DoNotOptimize(
+        kernels::AttentionBackward(grad_out, q, k, v, probs, heads).q);
+  }
+  state.SetItemsProcessed(state.iterations() * q.numel());
+}
+BENCHMARK(BM_Attention)->DDPKIT_SIMD_LEVEL_ARGS_NAMED("heads", 4);
+
 void BM_Fp16Conversion(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(7);

@@ -59,6 +59,12 @@ void Record(Tensor* out, const char* name,
   SetHistory(out, std::move(node));
 }
 
+/// A handle on `out`'s storage without its autograd state, for a backward
+/// closure that needs its own op's output. Saving `out` itself would be a
+/// reference cycle: out's autograd meta holds the node, the node holds the
+/// closure, and the closure would hold out, so none of them is ever freed.
+Tensor SavedOutput(const Tensor& out) { return out.Reshape(out.shape()); }
+
 Tensor FirstGrad(std::vector<Tensor>& grads) {
   DDPKIT_CHECK(!grads.empty() && grads[0].defined());
   return grads[0].Contiguous();
@@ -132,7 +138,7 @@ Tensor Scale(const Tensor& a, double s) {
 Tensor Exp(const Tensor& a) {
   Tensor out = kernels::Exp(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedOutput(out);
     Record(&out, "ExpBackward", {&a}, [sout](std::vector<Tensor> grads) {
       return std::vector<Tensor>{kernels::Mul(FirstGrad(grads), sout)};
     });
@@ -154,7 +160,7 @@ Tensor Log(const Tensor& a) {
 Tensor Sqrt(const Tensor& a) {
   Tensor out = kernels::Sqrt(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedOutput(out);
     Record(&out, "SqrtBackward", {&a}, [sout](std::vector<Tensor> grads) {
       // d sqrt(a)/da = 1 / (2 sqrt(a)).
       return std::vector<Tensor>{
@@ -211,7 +217,7 @@ Tensor Gelu(const Tensor& a) {
 Tensor Sigmoid(const Tensor& a) {
   Tensor out = kernels::Sigmoid(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedOutput(out);
     Record(&out, "SigmoidBackward", {&a}, [sout](std::vector<Tensor> grads) {
       // d sigma/dx = sigma (1 - sigma).
       Tensor g = FirstGrad(grads);
@@ -226,7 +232,7 @@ Tensor Sigmoid(const Tensor& a) {
 Tensor Tanh(const Tensor& a) {
   Tensor out = kernels::Tanh(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedOutput(out);
     Record(&out, "TanhBackward", {&a}, [sout](std::vector<Tensor> grads) {
       // d tanh/dx = 1 - tanh^2.
       Tensor g = FirstGrad(grads);
@@ -248,10 +254,13 @@ Tensor Linear(const Tensor& input, const Tensor& weight, const Tensor& bias) {
   if (AnyRequiresGrad({&input, &weight, &bias})) {
     Tensor sin = input, sw = weight;
     const bool has_bias = bias.defined();
+    // An input that takes no gradient has no edge to send one along.
+    const bool input_grad = input.requires_grad();
     Record(&out, "LinearBackward", {&input, &weight, &bias},
-           [sin, sw, has_bias](std::vector<Tensor> grads) {
+           [sin, sw, has_bias, input_grad](std::vector<Tensor> grads) {
              Tensor g = FirstGrad(grads);
-             Tensor grad_input = kernels::MatMul(g, sw);
+             Tensor grad_input =
+                 input_grad ? kernels::MatMul(g, sw) : Tensor();
              Tensor grad_weight = kernels::MatMulTransA(g, sin);
              Tensor grad_bias = has_bias ? kernels::SumRows(g) : Tensor();
              return std::vector<Tensor>{grad_input, grad_weight, grad_bias};
@@ -454,12 +463,15 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     const bool has_bias = bias.defined();
     std::vector<int64_t> in_shape = input.shape();
     std::vector<int64_t> w_shape = weight.shape();
+    const bool input_grad = input.requires_grad();
     Record(&out, "Conv2dBackward", {&input, &weight, &bias},
-           [sin, sw, has_bias, in_shape, w_shape,
+           [sin, sw, has_bias, input_grad, in_shape, w_shape,
             args](std::vector<Tensor> grads) {
              Tensor g = FirstGrad(grads);
              Tensor grad_input =
-                 kernels::Conv2dBackwardInput(g, sw, in_shape, args);
+                 input_grad
+                     ? kernels::Conv2dBackwardInput(g, sw, in_shape, args)
+                     : Tensor();
              Tensor grad_weight =
                  kernels::Conv2dBackwardWeight(g, sin, w_shape, args);
              Tensor grad_bias = has_bias ? ChannelBiasGrad(g) : Tensor();
@@ -795,7 +807,7 @@ Tensor Embedding(const Tensor& indices, const Tensor& table) {
 Tensor Softmax(const Tensor& a) {
   Tensor out = kernels::Softmax(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedOutput(out);
     Record(&out, "SoftmaxBackward", {&a}, [sout](std::vector<Tensor> grads) {
       Tensor g = FirstGrad(grads);
       const int64_t m = g.size(0), n = g.size(1);
@@ -822,73 +834,16 @@ Tensor Softmax(const Tensor& a) {
   return out;
 }
 
-Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v) {
-  DDPKIT_CHECK_EQ(q.dim(), 3);
-  DDPKIT_CHECK(q.shape() == k.shape() && q.shape() == v.shape());
-  const int64_t batch = q.size(0), seq = q.size(1), dim = q.size(2);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(dim));
-
-  Tensor out = Tensor::Empty(q.shape());
-  Tensor probs = Tensor::Empty({batch, seq, seq});
-
-  for (int64_t b = 0; b < batch; ++b) {
-    Tensor qb = q.Narrow(0, b, 1).Reshape({seq, dim});
-    Tensor kb = k.Narrow(0, b, 1).Reshape({seq, dim});
-    Tensor vb = v.Narrow(0, b, 1).Reshape({seq, dim});
-    Tensor scores = kernels::Scale(kernels::MatMulTransB(qb, kb), scale);
-    Tensor p = kernels::Softmax(scores);
-    Tensor ob = kernels::MatMul(p, vb);
-    probs.Narrow(0, b, 1).Reshape({seq, seq}).CopyFrom(p);
-    out.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(ob);
-  }
-
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads) {
+  Tensor probs;
+  Tensor out = kernels::Attention(q, k, v, num_heads, &probs);
   if (AnyRequiresGrad({&q, &k, &v})) {
-    Tensor sq = q, sk = k, sv = v, sp = probs;
     Record(&out, "AttentionBackward", {&q, &k, &v},
-           [sq, sk, sv, sp, batch, seq, dim,
-            scale](std::vector<Tensor> grads) {
-             Tensor g = FirstGrad(grads);
-             Tensor gq = Tensor::Empty(sq.shape());
-             Tensor gk = Tensor::Empty(sk.shape());
-             Tensor gv = Tensor::Empty(sv.shape());
-             for (int64_t b = 0; b < batch; ++b) {
-               Tensor gb = g.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor qb = sq.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor kb = sk.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor vb = sv.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor pb = sp.Narrow(0, b, 1).Reshape({seq, seq});
-               // dV = P^T dO
-               Tensor gvb = kernels::MatMulTransA(pb, gb);
-               // dP = dO V^T
-               Tensor gpb = kernels::MatMulTransB(gb, vb);
-               // dA = P * (dP - rowsum(dP * P))  (softmax backward), then
-               // scale.
-               Tensor gab = Tensor::Empty({seq, seq});
-               {
-                 const float* pp = pb.data<float>();
-                 const float* pgp = gpb.data<float>();
-                 float* pga = gab.data<float>();
-                 for (int64_t i = 0; i < seq; ++i) {
-                   double dot = 0.0;
-                   for (int64_t j = 0; j < seq; ++j) {
-                     dot += static_cast<double>(pgp[i * seq + j]) *
-                            pp[i * seq + j];
-                   }
-                   for (int64_t j = 0; j < seq; ++j) {
-                     pga[i * seq + j] = static_cast<float>(
-                         pp[i * seq + j] *
-                         (pgp[i * seq + j] - dot) * scale);
-                   }
-                 }
-               }
-               // dQ = dA K ; dK = dA^T Q
-               Tensor gqb = kernels::MatMul(gab, kb);
-               Tensor gkb = kernels::MatMulTransA(gab, qb);
-               gq.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(gqb);
-               gk.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(gkb);
-               gv.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(gvb);
-             }
-             return std::vector<Tensor>{gq, gk, gv};
+           [q, k, v, probs, num_heads](std::vector<Tensor> grads) {
+             kernels::AttentionGrads g = kernels::AttentionBackward(
+                 FirstGrad(grads), q, k, v, probs, num_heads);
+             return std::vector<Tensor>{g.q, g.k, g.v};
            });
   }
   return out;

@@ -100,9 +100,12 @@ Tensor Embedding(const Tensor& indices, const Tensor& table);
 /// Row-wise softmax of [m, n].
 Tensor Softmax(const Tensor& a);
 
-/// Fused single-head scaled-dot-product attention:
-/// q,k,v are [B, S, D]; returns softmax(q k^T / sqrt(D)) v, shape [B, S, D].
-Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v);
+/// Fused multi-head scaled-dot-product attention: q,k,v are [B, S, D] and
+/// head h attends over columns [h·D/H, (h+1)·D/H) with
+/// softmax(q_h k_hᵀ / sqrt(D/H)) v_h; the heads' outputs sit side by side
+/// in the [B, S, D] result. num_heads must divide D.
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads = 1);
 
 // ---- Reductions / losses ----------------------------------------------------------------
 

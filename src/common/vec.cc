@@ -1,6 +1,7 @@
 #include "common/vec.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -578,6 +579,188 @@ DDPKIT_TARGET_AVX512 void GemmAvx512(int64_t m, int64_t n, int64_t k,
 #endif  // DDPKIT_VEC_X86
 
 // ---------------------------------------------------------------------------
+// Transcendentals: exp, tanh, sigmoid and the fused GELU pair. Each is one
+// function template over a lane type F: float at the scalar level, a GCC
+// vector of 8 or 16 floats at AVX2 or AVX-512. MapLanes instantiates it
+// inside that level's target-attributed loop, so every level runs the same
+// source, one fixed sequence of add/sub/mul/div, compare-and-select, and
+// integer ops that only build 2^n from exponent bits. Nothing is fused
+// (-ffp-contract=off) and nothing calls libm, so each lane's result depends
+// on that lane's inputs alone and is bit-identical at every level. The
+// polynomials are Cephes' expf and tanhf minimax fits.
+// ---------------------------------------------------------------------------
+
+#define DDPKIT_LANES inline __attribute__((always_inline))
+
+/// F: W float lanes; I, U: W signed / unsigned 32-bit integer lanes.
+template <int W>
+struct Lanes;
+template <>
+struct Lanes<1> {
+  using F = float;
+  using I = int32_t;
+  using U = uint32_t;
+};
+#if defined(DDPKIT_VEC_X86)
+template <>
+struct Lanes<8> {
+  typedef float F __attribute__((vector_size(32)));
+  typedef int32_t I __attribute__((vector_size(32)));
+  typedef uint32_t U __attribute__((vector_size(32)));
+};
+template <>
+struct Lanes<16> {
+  typedef float F __attribute__((vector_size(64)));
+  typedef int32_t I __attribute__((vector_size(64)));
+  typedef uint32_t U __attribute__((vector_size(64)));
+};
+#endif
+
+constexpr float kExpMin = -104.0f;  // e^x rounds to +0 below this
+constexpr float kExpMax = 89.0f;    // and to +inf above this
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;  // 9 significant bits: n·kLn2Hi exact
+constexpr float kLn2Lo = -2.12194440e-4f;
+constexpr float kRoundMagic = 12582912.0f;  // 1.5·2^23
+constexpr uint32_t kRoundMagicBits = 0x4B400000u;
+constexpr float kExpP0 = 1.9875691500e-4f;
+constexpr float kExpP1 = 1.3981999507e-3f;
+constexpr float kExpP2 = 8.3334519073e-3f;
+constexpr float kExpP3 = 4.1665795894e-2f;
+constexpr float kExpP4 = 1.6666665459e-1f;
+constexpr float kExpP5 = 5.0000001201e-1f;
+
+constexpr float kTanhSmall = 0.625f;  // polynomial below, exp form above
+constexpr float kTanhSaturate = 10.0f;  // float tanh is 1 from |x| ≈ 9.02
+constexpr float kTanhP0 = -5.70498872745e-3f;
+constexpr float kTanhP1 = 2.06390887954e-2f;
+constexpr float kTanhP2 = -5.37397155531e-2f;
+constexpr float kTanhP3 = 1.33314422036e-1f;
+constexpr float kTanhP4 = -3.33332819422e-1f;
+
+constexpr float kSqrt2OverPi = 0.7978845608028654f;
+constexpr float kGeluCubic = 0.044715f;
+
+// The ops MapLanes applies; each maps one block of lanes per input.
+struct ExpOp {
+  template <typename L>
+  static DDPKIT_LANES typename L::F Apply(typename L::F x) {
+    using F = typename L::F;
+    using I = typename L::I;
+    using U = typename L::U;
+    // Clamp (a NaN compares false and passes both), then x = n·ln2 + r with
+    // n = round(x·log2 e): adding 1.5·2^23 rounds to an integer and leaves n
+    // in the sum's low mantissa bits.
+    F xc = kExpMax < x ? kExpMax : x;
+    xc = kExpMin > xc ? kExpMin : xc;
+    const F shifted = xc * kLog2e + kRoundMagic;
+    const F n = shifted - kRoundMagic;
+    F r = xc - n * kLn2Hi;
+    r = r - n * kLn2Lo;
+    const F p =
+        ((((kExpP0 * r + kExpP1) * r + kExpP2) * r + kExpP3) * r + kExpP4) * r +
+        kExpP5;
+    const F y = p * (r * r) + r + 1.0f;
+    // 2^n as two normal powers of two, so a subnormal or near-overflow
+    // result rounds once, in the last multiply.
+    const I ni = std::bit_cast<I>(std::bit_cast<U>(shifted) - kRoundMagicBits);
+    const I n1 = ni >> 1;
+    const I n2 = ni - n1;
+    const F s1 = std::bit_cast<F>(std::bit_cast<U>(n1 + 127) << 23);
+    const F s2 = std::bit_cast<F>(std::bit_cast<U>(n2 + 127) << 23);
+    const F e = y * s1 * s2;
+    return x == x ? e : x + x;  // NaN in, the same (quieted) NaN out
+  }
+};
+struct TanhOp {
+  template <typename L>
+  static DDPKIT_LANES typename L::F Apply(typename L::F x) {
+    using F = typename L::F;
+    using U = typename L::U;
+    // Odd by construction: evaluate at |x|, then put x's sign bit back.
+    const U bits = std::bit_cast<U>(x);
+    const U sign = bits & 0x80000000u;
+    const F ax = std::bit_cast<F>(bits & 0x7fffffffu);
+    const F z = ax * ax;
+    const F p =
+        (((kTanhP0 * z + kTanhP1) * z + kTanhP2) * z + kTanhP3) * z + kTanhP4;
+    const F small = p * z * ax + ax;
+    const F ac = kTanhSaturate < ax ? kTanhSaturate : ax;
+    const F large = 1.0f - 2.0f / (ExpOp::Apply<L>(ac + ac) + 1.0f);
+    const F t = ax < kTanhSmall ? small : large;
+    return std::bit_cast<F>(std::bit_cast<U>(t) | sign);
+  }
+};
+struct SigmoidOp {
+  template <typename L>
+  static DDPKIT_LANES typename L::F Apply(typename L::F x) {
+    return 1.0f / (1.0f + ExpOp::Apply<L>(-x));
+  }
+};
+/// The tanh approximation of GELU (as in BERT).
+struct GeluOp {
+  template <typename L>
+  static DDPKIT_LANES typename L::F Apply(typename L::F x) {
+    const typename L::F inner = kSqrt2OverPi * (x + kGeluCubic * x * x * x);
+    return 0.5f * x * (1.0f + TanhOp::Apply<L>(inner));
+  }
+};
+/// g · d GELU(x)/dx.
+struct GeluBackwardOp {
+  template <typename L>
+  static DDPKIT_LANES typename L::F Apply(typename L::F g, typename L::F x) {
+    using F = typename L::F;
+    const F x3 = x * x * x;
+    const F t = TanhOp::Apply<L>(kSqrt2OverPi * (x + kGeluCubic * x3));
+    const F sech2 = 1.0f - t * t;
+    return g * (0.5f * (1.0f + t) + 0.5f * x * sech2 * kSqrt2OverPi *
+                                        (1.0f + 3.0f * kGeluCubic * x * x));
+  }
+};
+
+template <typename L>
+DDPKIT_LANES typename L::F LoadLanes(const float* p, int64_t count) {
+  typename L::F v{};
+  std::memcpy(&v, p, static_cast<size_t>(count) * sizeof(float));
+  return v;
+}
+
+/// dst[i] = Op(src[i]...) for i < n, sizeof(F) / 4 lanes at a time; the
+/// tail runs the same body on a zero-padded block.
+template <typename L, typename Op, typename... Src>
+DDPKIT_LANES void MapLanes(float* dst, int64_t n, Src... src) {
+  constexpr int64_t kW = sizeof(typename L::F) / sizeof(float);
+  int64_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    const typename L::F y =
+        Op::template Apply<L>(LoadLanes<L>(src + i, kW)...);
+    std::memcpy(dst + i, &y, sizeof(y));
+  }
+  if (i < n) {
+    const typename L::F y =
+        Op::template Apply<L>(LoadLanes<L>(src + i, n - i)...);
+    std::memcpy(dst + i, &y, static_cast<size_t>(n - i) * sizeof(float));
+  }
+}
+
+template <typename Op, typename... Src>
+void MapScalar(float* dst, int64_t n, Src... src) {
+  MapLanes<Lanes<1>, Op>(dst, n, src...);
+}
+#if defined(DDPKIT_VEC_X86)
+template <typename Op, typename... Src>
+DDPKIT_TARGET_AVX2 void MapAvx2(float* dst, int64_t n, Src... src) {
+  MapLanes<Lanes<8>, Op>(dst, n, src...);
+}
+template <typename Op, typename... Src>
+DDPKIT_TARGET_AVX512 void MapAvx512(float* dst, int64_t n, Src... src) {
+  MapLanes<Lanes<16>, Op>(dst, n, src...);
+}
+#endif
+
+#undef DDPKIT_LANES
+
+// ---------------------------------------------------------------------------
 // Level detection + dispatch state.
 // ---------------------------------------------------------------------------
 
@@ -736,6 +919,29 @@ void AccumulateMax(double* dst, const double* src, int64_t n) {
   DDPKIT_VEC_DISPATCH(AccumMaxF64Avx512(dst, src, n),
                       AccumMaxF64Avx2(dst, src, n),
                       AccumMaxF64ScalarImpl(dst, src, n));
+}
+
+void Exp(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<ExpOp>(dst, n, a), MapAvx2<ExpOp>(dst, n, a),
+                      MapScalar<ExpOp>(dst, n, a));
+}
+void Tanh(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<TanhOp>(dst, n, a), MapAvx2<TanhOp>(dst, n, a),
+                      MapScalar<TanhOp>(dst, n, a));
+}
+void Sigmoid(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<SigmoidOp>(dst, n, a),
+                      MapAvx2<SigmoidOp>(dst, n, a),
+                      MapScalar<SigmoidOp>(dst, n, a));
+}
+void Gelu(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<GeluOp>(dst, n, a), MapAvx2<GeluOp>(dst, n, a),
+                      MapScalar<GeluOp>(dst, n, a));
+}
+void GeluBackward(const float* g, const float* x, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<GeluBackwardOp>(dst, n, g, x),
+                      MapAvx2<GeluBackwardOp>(dst, n, g, x),
+                      MapScalar<GeluBackwardOp>(dst, n, g, x));
 }
 
 void Copy(float* dst, const float* src, int64_t n) {

@@ -24,6 +24,11 @@ namespace ddpkit::vec {
 /// independent chunking this means the SIMD dispatch can never perturb a
 /// deterministic run: results are identical across machines with different
 /// ISA extensions, across DDPKIT_SIMD overrides, and across pool sizes.
+/// The layer owns exp and tanh on the same terms: Exp, Tanh, Sigmoid, Gelu
+/// and GeluBackward are built from those lanewise operations plus
+/// compare-and-select and integer exponent-bit ops, one source for every
+/// level, never libm. Only log and the softmax family's exp stay on libm,
+/// outside this layer, one element at a time.
 /// Horizontal reductions (dot products, sums) are deliberately NOT offered
 /// here — splitting one sum across lanes would change its accumulation
 /// order; use ParallelReduce's chunked combine for those. The one
@@ -135,6 +140,20 @@ void Relu(const float* a, float* dst, int64_t n);
 /// dst[i] = x[i] > 0 ? g[i] : 0 — the ReLU gradient mask.
 void ReluBackward(const float* g, const float* x, float* dst, int64_t n);
 void Sqrt(const float* a, float* dst, int64_t n);
+
+/// The transcendentals. Each runs one fixed add/sub/mul/div/select
+/// sequence (range reduction, a polynomial, a 2^n scale built from exponent
+/// bits; see vec.cc), so unlike libm they are bit-identical at every level.
+/// Exp and Tanh are within 2 ulp of the correctly rounded result; Tanh is
+/// odd bit for bit and keeps the sign of ±0. NaN in gives NaN out.
+void Exp(const float* a, float* dst, int64_t n);
+void Tanh(const float* a, float* dst, int64_t n);
+/// dst[i] = 1 / (1 + exp(-a[i])).
+void Sigmoid(const float* a, float* dst, int64_t n);
+/// GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))).
+void Gelu(const float* a, float* dst, int64_t n);
+/// dst[i] = g[i] · GELU'(x[i]).
+void GeluBackward(const float* g, const float* x, float* dst, int64_t n);
 
 /// y[i] += alpha * x[i], mul-then-add at every level (never fused).
 void Axpy(float alpha, const float* x, float* y, int64_t n);

@@ -130,7 +130,16 @@ DType Tensor::dtype() const { return impl().dtype; }
 int Tensor::device_id() const { return impl().storage->device_id(); }
 
 bool Tensor::is_contiguous() const {
-  return impl().strides == ContiguousStrides(impl().shape);
+  // strides == ContiguousStrides(shape), compared without building it.
+  const std::vector<int64_t>& shape = impl().shape;
+  const std::vector<int64_t>& strides = impl().strides;
+  if (strides.size() != shape.size()) return false;
+  int64_t expected = 1;
+  for (size_t i = shape.size(); i-- > 0;) {
+    if (strides[i] != expected) return false;
+    expected *= shape[i];
+  }
+  return true;
 }
 
 std::string Tensor::ShapeString() const {

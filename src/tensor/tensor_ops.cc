@@ -24,41 +24,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
       << " (elementwise kernels do not broadcast)";
 }
 
-/// Scalar fallback for kernels with no vec.h mapping: transcendentals
-/// (exp/log/tanh and friends) stay scalar by design — libm gives no
-/// cross-width bit-exactness guarantee, so vectorizing them would break
-/// the SIMD layer's contract (common/vec.h).
-template <typename F>
-Tensor Unary(const Tensor& a, F f) {
-  CheckFloatContiguous(a, "input");
-  Tensor out = Tensor::Empty(a.shape(), DType::kFloat32, a.device_id());
-  const float* pa = a.data<float>();
-  float* po = out.data<float>();
-  ParallelFor(0, a.numel(), kParallelGrain, [&](int64_t b, int64_t e) {
-    // ddplint: allow(raw-elementwise-loop) transcendental fallback; libm
-    // has no cross-width bit-exactness, so these stay scalar by contract
-    for (int64_t i = b; i < e; ++i) po[i] = f(pa[i]);
-  });
-  return out;
-}
-
-template <typename F>
-Tensor Binary(const Tensor& a, const Tensor& b, F f) {
-  CheckFloatContiguous(a, "lhs");
-  CheckFloatContiguous(b, "rhs");
-  CheckSameShape(a, b);
-  Tensor out = Tensor::Empty(a.shape(), DType::kFloat32, a.device_id());
-  const float* pa = a.data<float>();
-  const float* pb = b.data<float>();
-  float* po = out.data<float>();
-  ParallelFor(0, a.numel(), kParallelGrain, [&](int64_t lo, int64_t hi) {
-    // ddplint: allow(raw-elementwise-loop) transcendental fallback; libm
-    // has no cross-width bit-exactness, so these stay scalar by contract
-    for (int64_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
-  });
-  return out;
-}
-
 /// SIMD-path helpers: the batch fn receives whole [lo, hi) spans and is
 /// expected to forward to a vec.h entry point.
 template <typename BatchFn>
@@ -132,16 +97,25 @@ Tensor Neg(const Tensor& a) {
 }
 
 Tensor Exp(const Tensor& a) {
-  return Unary(a, [](float x) { return std::exp(x); });
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Exp(x, d, n); });
 }
 
 Tensor Log(const Tensor& a) {
-  return Unary(a, [](float x) { return std::log(x); });
+  CheckFloatContiguous(a, "input");
+  Tensor out = Tensor::Empty(a.shape(), DType::kFloat32, a.device_id());
+  const float* pa = a.data<float>();
+  float* po = out.data<float>();
+  ParallelFor(0, a.numel(), kParallelGrain, [&](int64_t b, int64_t e) {
+    // ddplint: allow(raw-elementwise-loop) log stays on libm, one element
+    // at a time: vec.h owns exp and tanh, not log
+    for (int64_t i = b; i < e; ++i) po[i] = std::log(pa[i]);
+  });
+  return out;
 }
 
 Tensor Sqrt(const Tensor& a) {
-  // sqrtps is correctly rounded per IEEE-754, so unlike the transcendentals
-  // this one is safe to vectorize without breaking bit-exactness.
+  // sqrtps is correctly rounded per IEEE-754, so every level agrees.
   return UnaryBatch(
       a, [](const float* x, float* d, int64_t n) { vec::Sqrt(x, d, n); });
 }
@@ -185,37 +159,26 @@ Tensor ReluBackward(const Tensor& grad_out, const Tensor& input) {
                      });
 }
 
-namespace {
-// tanh-approximation GELU, matching BERT.
-inline float GeluScalar(float x) {
-  const float k = 0.7978845608028654f;  // sqrt(2/pi)
-  const float inner = k * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
+Tensor Gelu(const Tensor& a) {
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Gelu(x, d, n); });
 }
-inline float GeluGradScalar(float x) {
-  const float k = 0.7978845608028654f;
-  const float x3 = x * x * x;
-  const float inner = k * (x + 0.044715f * x3);
-  const float t = std::tanh(inner);
-  const float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) +
-         0.5f * x * sech2 * k * (1.0f + 3.0f * 0.044715f * x * x);
-}
-}  // namespace
-
-Tensor Gelu(const Tensor& a) { return Unary(a, GeluScalar); }
 
 Tensor GeluBackward(const Tensor& grad_out, const Tensor& input) {
-  return Binary(grad_out, input,
-                [](float g, float x) { return g * GeluGradScalar(x); });
+  return BinaryBatch(grad_out, input,
+                     [](const float* g, const float* x, float* d, int64_t n) {
+                       vec::GeluBackward(g, x, d, n);
+                     });
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  return Unary(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Sigmoid(x, d, n); });
 }
 
 Tensor Tanh(const Tensor& a) {
-  return Unary(a, [](float x) { return std::tanh(x); });
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Tanh(x, d, n); });
 }
 
 // ---- Dense kernels: one GEMM ------------------------------------------------------
@@ -879,6 +842,26 @@ Tensor MeanAll(const Tensor& a) {
   return s;
 }
 
+namespace {
+
+/// One row of Softmax: orow = exp(row − max) / Σ, the sum serial in j.
+/// orow may be row.
+void SoftmaxRow(const float* row, float* orow, int64_t n) {
+  float mx = row[0];
+  for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
+  float denom = 0.0f;
+  for (int64_t j = 0; j < n; ++j) {
+    // ddplint: allow(raw-elementwise-loop) fused libm exp + serial
+    // row sum; vec.h offers no horizontal sums
+    orow[j] = std::exp(row[j] - mx);
+    denom += orow[j];
+  }
+  const float inv = 1.0f / denom;
+  vec::ScaleInPlace(orow, inv, n);
+}
+
+}  // namespace
+
 Tensor Softmax(const Tensor& a) {
   CheckFloatContiguous(a, "a");
   DDPKIT_CHECK_EQ(a.dim(), 2);
@@ -887,21 +870,7 @@ Tensor Softmax(const Tensor& a) {
   const float* pa = a.data<float>();
   float* po = out.data<float>();
   ParallelFor(0, m, GrainFromCost(4 * n), [&](int64_t rb, int64_t re) {
-    for (int64_t i = rb; i < re; ++i) {
-      const float* row = pa + i * n;
-      float* orow = po + i * n;
-      float mx = row[0];
-      for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-      float denom = 0.0f;
-      for (int64_t j = 0; j < n; ++j) {
-        // ddplint: allow(raw-elementwise-loop) fused exp + horizontal sum;
-        // transcendentals stay scalar per the vec.h bit-exactness contract
-        orow[j] = std::exp(row[j] - mx);
-        denom += orow[j];
-      }
-      const float inv = 1.0f / denom;
-      vec::ScaleInPlace(orow, inv, n);
-    }
+    for (int64_t i = rb; i < re; ++i) SoftmaxRow(pa + i * n, po + i * n, n);
   });
   return out;
 }
@@ -947,6 +916,158 @@ Tensor ArgMaxRows(const Tensor& a) {
     }
   });
   return out;
+}
+
+// ---- Attention ----------------------------------------------------------------------
+//
+// One task per (batch, head) block; a block's rows are S rows of Dh columns
+// with row stride D inside q, k, v, out and their gradients, which
+// vec::Gemm reads and writes in place. Kᵀ and Vᵀ, the GEMM B operands whose
+// columns are not contiguous, are packed per block into this thread's
+// scratch, as MatMulTransB packs its B. Every output element has one
+// writer and keeps the per-element sum order of the 2-D kernels, so the
+// result is that of the per-head MatMul/Softmax path at any pool size.
+
+namespace {
+
+struct AttentionGeom {
+  int64_t batch, seq, dim, heads, head_dim;
+  float scale;  // 1/√Dh, rounded as Scale rounds it
+
+  AttentionGeom(const Tensor& q, const Tensor& k, const Tensor& v,
+                int64_t num_heads) {
+    CheckFloatContiguous(q, "q");
+    CheckFloatContiguous(k, "k");
+    CheckFloatContiguous(v, "v");
+    DDPKIT_CHECK_EQ(q.dim(), 3);
+    CheckSameShape(q, k);
+    CheckSameShape(q, v);
+    DDPKIT_CHECK_GT(num_heads, 0);
+    batch = q.size(0);
+    seq = q.size(1);
+    dim = q.size(2);
+    heads = num_heads;
+    DDPKIT_CHECK_EQ(dim % heads, 0) << "num_heads must divide the last dim";
+    head_dim = dim / heads;
+    scale = static_cast<float>(1.0 / std::sqrt(static_cast<double>(head_dim)));
+  }
+
+  int64_t blocks() const { return batch * heads; }
+  /// Offset of block t's first element in a [B, S, D] tensor.
+  int64_t offset(int64_t t) const {
+    return t / heads * seq * dim + t % heads * head_dim;
+  }
+  /// Per-block cost for the parallel grain: four S×S×Dh GEMMs.
+  int64_t cost() const { return 4 * seq * seq * head_dim; }
+};
+
+/// This thread's attention scratch, at least `floats` long.
+float* AttentionScratch(int64_t floats) {
+  thread_local std::vector<float> scratch;
+  if (static_cast<int64_t>(scratch.size()) < floats) {
+    scratch.resize(static_cast<size_t>(floats));
+  }
+  return scratch.data();
+}
+
+/// dst[p * rows + j] = src[j * ld + p]: a rows × cols block, transposed.
+void PackTransposed(const float* src, int64_t ld, int64_t rows, int64_t cols,
+                    float* dst) {
+  for (int64_t j = 0; j < rows; ++j) {
+    for (int64_t p = 0; p < cols; ++p) dst[p * rows + j] = src[j * ld + p];
+  }
+}
+
+}  // namespace
+
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, Tensor* probs) {
+  DDPKIT_CHECK(probs != nullptr);
+  const AttentionGeom g(q, k, v, num_heads);
+  const int64_t s = g.seq, d = g.dim, dh = g.head_dim;
+  Tensor out = Tensor::Empty(q.shape(), DType::kFloat32, q.device_id());
+  *probs = Tensor::Empty({g.batch, g.heads, s, s}, DType::kFloat32,
+                         q.device_id());
+  const float* pq = q.data<float>();
+  const float* pk = k.data<float>();
+  const float* pv = v.data<float>();
+  float* po = out.data<float>();
+  float* pp = probs->data<float>();
+  ParallelFor(0, g.blocks(), GrainFromCost(g.cost()),
+              [&](int64_t tb, int64_t te) {
+    float* kt = AttentionScratch(dh * s);
+    for (int64_t t = tb; t < te; ++t) {
+      const int64_t off = g.offset(t);
+      float* p = pp + t * s * s;
+      // P = Softmax(Scale(Q Kᵀ)), built in place in its probs slot.
+      PackTransposed(pk + off, d, s, dh, kt);
+      vec::Gemm(s, s, dh, pq + off, d, 1, kt, s, p, s, /*accumulate=*/false);
+      vec::ScaleInPlace(p, g.scale, s * s);
+      for (int64_t i = 0; i < s; ++i) SoftmaxRow(p + i * s, p + i * s, s);
+      // out = P V.
+      vec::Gemm(s, dh, s, p, s, 1, pv + off, d, po + off, d,
+                /*accumulate=*/false);
+    }
+  });
+  return out;
+}
+
+AttentionGrads AttentionBackward(const Tensor& grad_out, const Tensor& q,
+                                 const Tensor& k, const Tensor& v,
+                                 const Tensor& probs, int64_t num_heads) {
+  const AttentionGeom g(q, k, v, num_heads);
+  CheckFloatContiguous(grad_out, "grad_out");
+  CheckSameShape(grad_out, q);
+  CheckFloatContiguous(probs, "probs");
+  const int64_t s = g.seq, d = g.dim, dh = g.head_dim;
+  DDPKIT_CHECK_EQ(probs.numel(), g.blocks() * s * s);
+  AttentionGrads grads{
+      Tensor::Empty(q.shape(), DType::kFloat32, q.device_id()),
+      Tensor::Empty(q.shape(), DType::kFloat32, q.device_id()),
+      Tensor::Empty(q.shape(), DType::kFloat32, q.device_id())};
+  const float* pg = grad_out.data<float>();
+  const float* pq = q.data<float>();
+  const float* pk = k.data<float>();
+  const float* pv = v.data<float>();
+  const float* pp = probs.data<float>();
+  float* gq = grads.q.data<float>();
+  float* gk = grads.k.data<float>();
+  float* gv = grads.v.data<float>();
+  // The softmax backward below runs in double with this double scale.
+  const double scale = 1.0 / std::sqrt(static_cast<double>(dh));
+  ParallelFor(0, g.blocks(), GrainFromCost(g.cost()),
+              [&](int64_t tb, int64_t te) {
+    float* vt = AttentionScratch(dh * s + s * s);
+    float* ga = vt + dh * s;
+    for (int64_t t = tb; t < te; ++t) {
+      const int64_t off = g.offset(t);
+      const float* p = pp + t * s * s;
+      // dV = Pᵀ dO.
+      vec::Gemm(s, dh, s, p, 1, s, pg + off, d, gv + off, d,
+                /*accumulate=*/false);
+      // dP = dO Vᵀ, into ga.
+      PackTransposed(pv + off, d, s, dh, vt);
+      vec::Gemm(s, s, dh, pg + off, d, 1, vt, s, ga, s, /*accumulate=*/false);
+      // dA = P * (dP - rowsum(dP * P)) * scale (the softmax backward, in
+      // double), in place over dP.
+      for (int64_t i = 0; i < s; ++i) {
+        double dot = 0.0;
+        for (int64_t j = 0; j < s; ++j) {
+          dot += static_cast<double>(ga[i * s + j]) * p[i * s + j];
+        }
+        for (int64_t j = 0; j < s; ++j) {
+          ga[i * s + j] = static_cast<float>(
+              p[i * s + j] * (ga[i * s + j] - dot) * scale);
+        }
+      }
+      // dQ = dA K; dK = dAᵀ Q.
+      vec::Gemm(s, dh, s, ga, s, 1, pk + off, d, gq + off, d,
+                /*accumulate=*/false);
+      vec::Gemm(s, dh, s, ga, 1, s, pq + off, d, gk + off, d,
+                /*accumulate=*/false);
+    }
+  });
+  return grads;
 }
 
 // ---- Embedding ----------------------------------------------------------------------

@@ -100,6 +100,25 @@ Tensor LogSoftmax(const Tensor& a);
 /// Row-wise argmax of [m, n] -> int64 [m].
 Tensor ArgMaxRows(const Tensor& a);
 
+// ---- Attention -----------------------------------------------------------------
+
+/// Multi-head scaled-dot-product attention. q, k, v are [B, S, D] with
+/// D = num_heads · Dh; head h owns columns [h·Dh, (h+1)·Dh). Per (batch,
+/// head) block, P = Softmax(Scale(Q Kᵀ, 1/√Dh)) and out = P V, each step
+/// computed exactly as MatMulTransB, Scale, Softmax and MatMul would on
+/// that block's copy, but read and written in place. `probs` receives P as
+/// [B, num_heads, S, S] for the backward.
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, Tensor* probs);
+
+struct AttentionGrads {
+  Tensor q, k, v;
+};
+/// Gradients of Attention given its inputs and saved probabilities.
+AttentionGrads AttentionBackward(const Tensor& grad_out, const Tensor& q,
+                                 const Tensor& k, const Tensor& v,
+                                 const Tensor& probs, int64_t num_heads);
+
 // ---- Embedding ------------------------------------------------------------------
 
 /// indices int64 [n], table [vocab, dim] -> [n, dim].

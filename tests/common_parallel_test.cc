@@ -227,6 +227,19 @@ TEST(ParallelDeterminismTest, TensorOpsBitExact) {
     kernels::Axpy(0.25, b, &out);
     return TensorBytes(out);
   });
+  ExpectBitExactAcrossThreadCounts("transcendentals", [] {
+    Rng rng(108);
+    Tensor a = Tensor::Randn({100'003}, &rng);
+    Tensor g = Tensor::Randn({100'003}, &rng);
+    std::vector<uint8_t> bytes;
+    for (const Tensor& t :
+         {kernels::Exp(a), kernels::Tanh(a), kernels::Sigmoid(a),
+          kernels::Gelu(a), kernels::GeluBackward(g, a)}) {
+      const std::vector<uint8_t> more = TensorBytes(t);
+      bytes.insert(bytes.end(), more.begin(), more.end());
+    }
+    return bytes;
+  });
   ExpectBitExactAcrossThreadCounts("sum_all", [] {
     Rng rng(105);
     Tensor a = Tensor::Randn({300'000}, &rng);

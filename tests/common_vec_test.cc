@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <climits>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -290,6 +294,194 @@ TEST(VecSemanticsTest, AxpyIsMulThenAddNotFused) {
     for (int i = 0; i < 16; ++i) {
       EXPECT_EQ(want, y[static_cast<size_t>(i)]) << "lane " << i;
     }
+  }
+}
+
+// ---- Transcendentals ----------------------------------------------------
+
+float FromBits(uint32_t bits) { return std::bit_cast<float>(bits); }
+uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
+
+/// Distance in representable floats (0 for +0 vs -0).
+int64_t UlpDistance(float a, float b) {
+  const auto ordered = [](float x) {
+    const int64_t i = std::bit_cast<int32_t>(x);
+    return i < 0 ? int64_t{INT32_MIN} - i : i;
+  };
+  return std::llabs(ordered(a) - ordered(b));
+}
+
+/// Inputs for the transcendentals: signed zeros, subnormals, infinities,
+/// quiet and signalling NaNs of both signs, each branch threshold and its
+/// float neighbours (tanh 0.625 and 10, exp -104 and 89, the exp overflow
+/// and underflow edges), large |x|, a dense grid over [-120, 120] and
+/// random values over the GELU range.
+std::vector<float> TranscendentalSweep() {
+  std::vector<float> xs = {
+      0.0f, -0.0f, FromBits(1), FromBits(0x80000001u), FromBits(0x007fffffu),
+      FromBits(0x807fffffu), FromBits(0x00400000u),
+      std::numeric_limits<float>::min(), std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(), FromBits(0x7fc00000u),
+      FromBits(0xffc00000u), FromBits(0x7fa00001u), FromBits(0xff800001u),
+      9.02f, -9.02f, 9.5f, 15.0f, -15.0f, 1e6f, -1e6f, 1e20f, -1e20f,
+      88.7228f, 88.73f, -87.34f, -103.97f};
+  for (const float edge : {0.625f, 10.0f, -104.0f, 89.0f}) {
+    for (const float x : {edge, -edge}) {
+      float lo = x, hi = x;
+      for (int step = 0; step < 3; ++step) {
+        lo = std::nextafter(lo, -1e30f);
+        hi = std::nextafter(hi, 1e30f);
+        xs.push_back(lo);
+        xs.push_back(hi);
+      }
+      xs.push_back(x);
+    }
+  }
+  for (int i = -24000; i <= 24000; ++i) xs.push_back(i * 0.005f);
+  const std::vector<float> random = RandomFloats(4097, 0x7a4);
+  xs.insert(xs.end(), random.begin(), random.end());
+  return xs;
+}
+
+using UnaryVecFn = void (*)(const float*, float*, int64_t);
+
+struct UnaryTranscendental {
+  const char* name;
+  UnaryVecFn fn;
+};
+
+const UnaryTranscendental kUnaryTranscendentals[] = {
+    {"Exp", vec::Exp},
+    {"Tanh", vec::Tanh},
+    {"Sigmoid", vec::Sigmoid},
+    {"Gelu", vec::Gelu},
+};
+
+// Every transcendental is one op sequence at every level, so each output
+// must be bit-identical to the scalar level's, over the whole sweep and at
+// every tail length.
+TEST(VecTranscendentalTest, MatchScalarAtEveryLevel) {
+  VecLevelGuard guard;
+  const std::vector<float> xs = TranscendentalSweep();
+  const int64_t total = static_cast<int64_t>(xs.size());
+  // GeluBackward: finite gradients against the sweep, then the sweep's
+  // specials as gradients against finite inputs.
+  const std::vector<float> g = RandomFloats(total, 0x9e1);
+  const std::vector<float> x_finite = RandomFloats(total, 0x9e2);
+  std::vector<int64_t> lengths(std::begin(kLengths), std::end(kLengths));
+  lengths.push_back(total);
+  for (const int64_t n : lengths) {
+    if (n > total) continue;
+    const auto run_all = [&](std::vector<std::vector<float>>* outs) {
+      outs->clear();
+      for (const UnaryTranscendental& t : kUnaryTranscendentals) {
+        std::vector<float> out(static_cast<size_t>(n), 99.0f);
+        t.fn(xs.data(), out.data(), n);
+        outs->push_back(out);
+      }
+      std::vector<float> out(static_cast<size_t>(n), 99.0f);
+      vec::GeluBackward(g.data(), xs.data(), out.data(), n);
+      outs->push_back(out);
+      vec::GeluBackward(xs.data(), x_finite.data(), out.data(), n);
+      outs->push_back(out);
+    };
+    vec::SetLevelForTesting(vec::Level::kScalar);
+    std::vector<std::vector<float>> ref;
+    run_all(&ref);
+    for (const vec::Level level : AvailableLevels()) {
+      vec::SetLevelForTesting(level);
+      std::vector<std::vector<float>> got;
+      run_all(&got);
+      for (size_t c = 0; c < ref.size(); ++c) {
+        SCOPED_TRACE("case " + std::to_string(c) + " n=" + std::to_string(n) +
+                     " level=" + vec::LevelName(level));
+        ExpectBitEqual(ref[c], got[c]);
+      }
+    }
+  }
+}
+
+// Every 9973rd float in [-10, 10] (tanh) and in [-104, 89] (exp, whose
+// results there are finite and, below -87.3, subnormal): within 2 ulp of
+// the double-precision reference rounded to float.
+TEST(VecTranscendentalTest, TanhAndExpWithinTwoUlpOfDoubleReference) {
+  VecLevelGuard guard;
+  std::vector<float> tanh_in;
+  constexpr uint32_t kStride = 9973;
+  for (uint32_t b = 0; b <= Bits(10.0f); b += kStride) {
+    tanh_in.push_back(FromBits(b));
+    tanh_in.push_back(FromBits(b | 0x80000000u));
+  }
+  std::vector<float> exp_in;
+  for (uint32_t b = 0; b <= Bits(89.0f); b += kStride) {
+    exp_in.push_back(FromBits(b));
+  }
+  for (uint32_t b = 0x80000000u; b <= Bits(-104.0f); b += kStride) {
+    exp_in.push_back(FromBits(b));
+  }
+  for (const vec::Level level : AvailableLevels()) {
+    vec::SetLevelForTesting(level);
+    SCOPED_TRACE(vec::LevelName(level));
+    std::vector<float> out(tanh_in.size());
+    vec::Tanh(tanh_in.data(), out.data(), static_cast<int64_t>(out.size()));
+    int64_t worst = 0;
+    for (size_t i = 0; i < out.size(); ++i) {
+      const float want = static_cast<float>(std::tanh(double{tanh_in[i]}));
+      worst = std::max(worst, UlpDistance(out[i], want));
+    }
+    EXPECT_LE(worst, 2) << "tanh";
+    out.resize(exp_in.size());
+    vec::Exp(exp_in.data(), out.data(), static_cast<int64_t>(out.size()));
+    worst = 0;
+    for (size_t i = 0; i < out.size(); ++i) {
+      const float want = static_cast<float>(std::exp(double{exp_in[i]}));
+      worst = std::max(worst, UlpDistance(out[i], want));
+    }
+    EXPECT_LE(worst, 2) << "exp";
+  }
+}
+
+TEST(VecTranscendentalTest, TanhIsOddAndExactAtTheEdges) {
+  VecLevelGuard guard;
+  const std::vector<float> xs = TranscendentalSweep();
+  std::vector<float> neg(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    neg[i] = FromBits(Bits(xs[i]) ^ 0x80000000u);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> edges = {0.0f, -0.0f, inf, -inf, nan, 1e20f};
+  for (const vec::Level level : AvailableLevels()) {
+    vec::SetLevelForTesting(level);
+    SCOPED_TRACE(vec::LevelName(level));
+    const int64_t n = static_cast<int64_t>(xs.size());
+    std::vector<float> pos_out(xs.size()), neg_out(xs.size());
+    vec::Tanh(xs.data(), pos_out.data(), n);
+    vec::Tanh(neg.data(), neg_out.data(), n);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(Bits(pos_out[i]) ^ 0x80000000u, Bits(neg_out[i]))
+          << "tanh(-x) != -tanh(x) at x=" << xs[i];
+    }
+    std::vector<float> out(edges.size());
+    vec::Tanh(edges.data(), out.data(), static_cast<int64_t>(edges.size()));
+    EXPECT_EQ(Bits(0.0f), Bits(out[0]));
+    EXPECT_EQ(Bits(-0.0f), Bits(out[1]));
+    EXPECT_EQ(1.0f, out[2]);
+    EXPECT_EQ(-1.0f, out[3]);
+    EXPECT_TRUE(std::isnan(out[4]));
+    EXPECT_EQ(1.0f, out[5]);
+    const std::vector<float> exp_edges = {0.0f,  -inf,   inf,
+                                          nan,   100.0f, -110.0f};
+    out.resize(exp_edges.size());
+    vec::Exp(exp_edges.data(), out.data(), static_cast<int64_t>(out.size()));
+    EXPECT_EQ(1.0f, out[0]);
+    EXPECT_EQ(Bits(0.0f), Bits(out[1]));
+    EXPECT_EQ(inf, out[2]);
+    EXPECT_TRUE(std::isnan(out[3]));
+    EXPECT_EQ(inf, out[4]);
+    EXPECT_EQ(Bits(0.0f), Bits(out[5]));
   }
 }
 

@@ -1,12 +1,18 @@
-// Tests for the extended op surface: div/exp/log/sqrt, max pooling, and
-// dropout (kernel, autograd and module levels).
+// Tests for the extended op surface: div/exp/log/sqrt, max pooling,
+// dropout (kernel, autograd and module levels), saved outputs and skipped
+// input gradients.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "autograd/engine.h"
+#include "autograd/node.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -214,6 +220,84 @@ TEST(SliceConcatTest, ConcatGradientsSplitBack) {
   EXPECT_DOUBLE_EQ(a.grad().At({0, 0}), 1.0);
   EXPECT_DOUBLE_EQ(a.grad().At({0, 1}), 1.0);
   EXPECT_DOUBLE_EQ(b.grad().At({0, 0}), 5.0);
+}
+
+// An op that saves its own output for the backward must not keep the
+// output alive from its own node: dropping the output (and with it the
+// graph) must free the node.
+TEST(SavedOutputTest, BackwardNodeDiesWithItsOutput) {
+  const std::vector<
+      std::pair<const char*, std::function<Tensor(const Tensor&)>>>
+      ops_under_test = {
+          {"Softmax", [](const Tensor& x) { return ops::Softmax(x); }},
+          {"Sigmoid", [](const Tensor& x) { return ops::Sigmoid(x); }},
+          {"Tanh", [](const Tensor& x) { return ops::Tanh(x); }},
+          {"Exp", [](const Tensor& x) { return ops::Exp(x); }},
+          {"Sqrt", [](const Tensor& x) { return ops::Sqrt(x); }},
+      };
+  Rng rng(31);
+  for (const auto& [name, op] : ops_under_test) {
+    Tensor x = Param(Tensor::Rand({3, 4}, &rng, 0.5, 2.0));
+    std::weak_ptr<autograd::Node> node;
+    std::weak_ptr<internal::TensorImpl> out_impl;
+    {
+      Tensor out = op(x);
+      node = autograd::MaybeMeta(out)->grad_fn;
+      out_impl = GetTensorImpl(out);
+      ASSERT_FALSE(node.expired()) << name;
+      Backward(ops::SumAll(out));  // the saved output is still usable
+      ASSERT_TRUE(x.grad().defined()) << name;
+    }
+    EXPECT_TRUE(node.expired()) << name << " leaks its backward node";
+    EXPECT_TRUE(out_impl.expired()) << name << " leaks its output";
+  }
+}
+
+/// The backward node recorded for `out`, applied to `grad_out`.
+std::vector<Tensor> ApplyBackward(const Tensor& out, const Tensor& grad_out) {
+  return autograd::MaybeMeta(out)->grad_fn->Apply({grad_out});
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.defined() && b.defined() && a.nbytes() == b.nbytes() &&
+         std::memcmp(a.data<uint8_t>(), b.data<uint8_t>(), a.nbytes()) == 0;
+}
+
+// Linear and Conv2d skip grad_input when the input takes no gradient, and
+// the weight and bias gradients come out exactly as without the skip.
+TEST(SkippedInputGradTest, LinearAndConvWeightGradsUnchanged) {
+  Rng rng(32);
+  const Tensor weight = Param(Tensor::Randn({5, 7}, &rng));
+  const Tensor bias = Param(Tensor::Randn({5}, &rng));
+  const Tensor input = Tensor::Randn({3, 7}, &rng);
+  const Tensor grad_out = Tensor::Randn({3, 5}, &rng);
+  const std::vector<Tensor> skipped =
+      ApplyBackward(ops::Linear(input, weight, bias), grad_out);
+  const std::vector<Tensor> full =
+      ApplyBackward(ops::Linear(Param(input.Clone()), weight, bias), grad_out);
+  EXPECT_FALSE(skipped[0].defined());
+  EXPECT_TRUE(full[0].defined());
+  EXPECT_TRUE(SameBytes(full[1], skipped[1]));
+  EXPECT_TRUE(SameBytes(full[2], skipped[2]));
+
+  const Tensor conv_w = Param(Tensor::Randn({4, 3, 3, 3}, &rng));
+  const Tensor conv_b = Param(Tensor::Randn({4}, &rng));
+  const Tensor image = Tensor::Randn({2, 3, 6, 6}, &rng);
+  const Tensor conv_grad = Tensor::Randn({2, 4, 3, 3}, &rng);
+  const std::vector<Tensor> conv_skipped = ApplyBackward(
+      ops::Conv2d(image, conv_w, conv_b, /*stride=*/2, /*padding=*/1),
+      conv_grad);
+  const std::vector<Tensor> conv_full = ApplyBackward(
+      ops::Conv2d(Param(image.Clone()), conv_w, conv_b, 2, 1), conv_grad);
+  EXPECT_FALSE(conv_skipped[0].defined());
+  EXPECT_TRUE(conv_full[0].defined());
+  EXPECT_TRUE(SameBytes(conv_full[1], conv_skipped[1]));
+  EXPECT_TRUE(SameBytes(conv_full[2], conv_skipped[2]));
+
+  // End to end: the weight still trains and the input gets no gradient.
+  Backward(ops::SumAll(ops::Linear(input, weight, bias)));
+  EXPECT_TRUE(weight.grad().defined());
+  EXPECT_FALSE(input.grad().defined());
 }
 
 TEST(SliceConcatTest, MultiHeadAttentionMatchesSingleHeadWidth) {

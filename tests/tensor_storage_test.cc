@@ -401,6 +401,21 @@ TEST(TensorStoragePoisonTest, AttentionForwardAndBackward) {
                     Backward(out, Tensor::Randn(out.shape(), &rng))));
 }
 
+TEST(TensorStoragePoisonTest, MultiHeadAttentionForwardAndBackward) {
+  Rng rng(13);
+  const Tensor q = Leaf({3, 5, 12}, &rng);
+  const Tensor k = Leaf({3, 5, 12}, &rng);
+  const Tensor v = Leaf({3, 5, 12}, &rng);
+  EXPECT_EQ("", PoisonedReuseMismatch([&] {
+              Tensor probs;
+              Tensor out = kernels::Attention(q, k, v, 4, &probs);
+              return std::vector<Tensor>{out, probs};
+            }));
+  const Tensor out = ops::Attention(q, k, v, 4);
+  EXPECT_EQ("", PoisonedReuseMismatch(
+                    Backward(out, Tensor::Randn(out.shape(), &rng))));
+}
+
 TEST(TensorStoragePoisonTest, SoftmaxAndCrossEntropy) {
   Rng rng(8);
   const Tensor logits = Leaf({7, 11}, &rng);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/tensor.h"
@@ -152,6 +155,59 @@ TEST(TensorTest, ZeroSizedTensor) {
   Tensor t = Tensor::Zeros({0, 4});
   EXPECT_EQ(t.numel(), 0);
   EXPECT_TRUE(t.is_contiguous());
+}
+
+/// is_contiguous() as it was first defined: the strides equal the
+/// row-major strides of the shape, element for element.
+bool StridesAreRowMajor(const Tensor& t) {
+  std::vector<int64_t> expected(t.shape().size());
+  int64_t acc = 1;
+  for (size_t i = expected.size(); i-- > 0;) {
+    expected[i] = acc;
+    acc *= t.shape()[i];
+  }
+  return t.strides() == expected;
+}
+
+/// A view of `t` with its own shape and strides over the same storage.
+Tensor Restrided(const Tensor& t, std::vector<int64_t> shape,
+                 std::vector<int64_t> strides) {
+  auto impl = std::make_shared<internal::TensorImpl>(*GetTensorImpl(t));
+  impl->shape = std::move(shape);
+  impl->strides = std::move(strides);
+  impl->autograd_meta = nullptr;
+  return MakeTensorFromImpl(std::move(impl));
+}
+
+TEST(TensorTest, IsContiguousMatchesRowMajorStridesOnViews) {
+  const Tensor a = Tensor::Zeros({4, 3, 5});
+  const Tensor m = Tensor::Zeros({2, 3});
+  const std::vector<std::pair<const char*, Tensor>> views = {
+      {"base", a},
+      {"scalar shape", Restrided(a, {}, {})},
+      {"reshape", a.Reshape({12, 5})},
+      {"flatten", a.Flatten()},
+      {"narrow outer", a.Narrow(0, 1, 2)},
+      {"narrow middle", a.Narrow(1, 1, 2)},
+      {"narrow inner", a.Narrow(2, 0, 3)},
+      {"narrow to size 1 outer", a.Narrow(0, 3, 1)},
+      {"narrow to size 1 middle", a.Narrow(1, 2, 1)},
+      {"narrow to size 0", a.Narrow(1, 0, 0)},
+      {"select", a.Select(2)},
+      {"transpose", Restrided(m, {3, 2}, {1, 3})},
+      {"transpose of a row", Restrided(m, {3, 1}, {1, 3})},
+      {"size-1 dim, any stride", Restrided(a, {4, 1, 15}, {15, 7, 1})},
+      {"size-1 dim, row-major stride", Restrided(a, {4, 1, 15}, {15, 15, 1})},
+      {"empty", Tensor::Zeros({0, 4})},
+      {"empty, odd strides", Restrided(a, {0, 4}, {1, 1})},
+      {"broadcast stride 0", Restrided(a, {3, 5}, {0, 1})},
+  };
+  for (const auto& [name, view] : views) {
+    EXPECT_EQ(StridesAreRowMajor(view), view.is_contiguous()) << name;
+  }
+  EXPECT_TRUE(a.Narrow(0, 1, 2).is_contiguous());
+  EXPECT_FALSE(a.Narrow(1, 1, 2).is_contiguous());
+  EXPECT_FALSE(Restrided(m, {3, 2}, {1, 3}).is_contiguous());
 }
 
 // ---- Half-float conversions -------------------------------------------------
